@@ -34,7 +34,6 @@ from .graphs import (
     unique_cycle_length,
 )
 from .spectra import (
-    ConvergenceError,
     SigmaMismatchError,
     Spectrum,
     SpectrumMatchError,

@@ -182,8 +182,10 @@ def check_energy_equality(
         raise ValueError(f"k must be even, got {k}")
     g = build_starlike(spec)
     g2 = insert_cross_edges(as_mirror(g, k), unit_vector(k))
-    le_tree = laplacian_energy(g)
-    le_uni = laplacian_energy(g2)
+    spec_tree = laplacian_spectrum(g)
+    spec_uni = laplacian_spectrum(g2)
+    le_tree = laplacian_energy(g, spec_tree)
+    le_uni = laplacian_energy(g2, spec_uni)
     direct = le_uni - le_tree
     evidence = {
         "n": spec.n,
@@ -194,7 +196,7 @@ def check_energy_equality(
         "direct_diff": direct,
     }
     try:
-        formula = delta_le(g, g2)
+        formula = delta_le(g, g2, spectra=(spec_tree, spec_uni))
     except SigmaMismatchError as exc:
         evidence["error"] = str(exc)
         evidence["max_residual"] = None
@@ -238,7 +240,7 @@ def check_family(
     eigenvalue 2 + 2cos(2*pi/(4i+1))."""
     graphs = generate_family(ell, gamma, placement)
     spectra = [laplacian_spectrum(g) for g in graphs]
-    energies = [laplacian_energy(g) for g in graphs]
+    energies = [laplacian_energy(g, s) for g, s in zip(graphs, spectra)]
     spread = max(energies) - min(energies)
 
     cospectral_pairs = []

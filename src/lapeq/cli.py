@@ -8,6 +8,7 @@ directory (default: current directory).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -138,7 +139,7 @@ def cmd_build_mirror(args) -> int:
 def cmd_spectrum(args) -> int:
     g = parse_graph_arg(args.graph)
     spec = laplacian_spectrum(g)
-    report = energy_report(g)
+    report = energy_report(g, spec)
     if args.format == "json":
         payload = dict(report)
         payload["class"] = classify(g)
@@ -353,9 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args fills a fresh namespace on every call, so one parser serves
+    # every main() call of the process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, TypeError, OSError) as exc:

@@ -13,22 +13,11 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .graphs import Graph, average_degree, laplacian
-
-# Eigensolver tuning: stop once the off-diagonal Frobenius norm falls below
-# OFF_NORM_FACTOR * ||m||, never rotate pivots below thresh/n (keeps the final
-# off-norm under the threshold), give up after SWEEP_BUDGET full sweeps.
-OFF_NORM_FACTOR = 1e-14
-SWEEP_BUDGET = 100
-
-
-class ConvergenceError(RuntimeError):
-    """Eigensolver failed to reach the off-diagonal threshold within budget."""
 
 
 class SpectrumMatchError(ValueError):
@@ -92,91 +81,7 @@ class Spectrum:
         return buf.getvalue()
 
 
-# --- Jacobi eigensolver -----------------------------------------------------
-#
-# Cyclic Jacobi on a dense symmetric matrix. Two interchangeable sweep
-# drivers: a numba-compiled scalar kernel (fast) and a vectorized numpy
-# fallback. Both run the same rotations with the same thresholds.
-
-
-def _sweeps_numpy(a: np.ndarray, thresh: float, skip: float, budget: int) -> int:
-    n = a.shape[0]
-    idx = np.arange(n)
-    for sweep in range(budget):
-        off = a.copy()
-        off[idx, idx] = 0.0
-        if np.linalg.norm(off) <= thresh:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e12:
-                    t = 0.5 / tau
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return -1
-
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _sweeps_numba = None
-else:
-
-    @njit(cache=True)
-    def _sweeps_numba(a, thresh, skip, budget):  # pragma: no cover - measured via wrapper
-        n = a.shape[0]
-        for sweep in range(budget):
-            off = 0.0
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    off += 2.0 * a[p, q] * a[p, q]
-            if math.sqrt(off) <= thresh:
-                return sweep
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) <= skip:
-                        continue
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    if abs(tau) > 1e12:
-                        t = 0.5 / tau
-                    else:
-                        sign = 1.0 if tau >= 0.0 else -1.0
-                        t = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    s = t * c
-                    for j in range(n):
-                        rp = a[p, j]
-                        rq = a[q, j]
-                        a[p, j] = c * rp - s * rq
-                        a[q, j] = s * rp + c * rq
-                    for j in range(n):
-                        cp = a[j, p]
-                        cq = a[j, q]
-                        a[j, p] = c * cp - s * cq
-                        a[j, q] = s * cp + c * cq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-        return -1
-
-
-USE_NUMBA = _sweeps_numba is not None
+# --- eigensolver ---------------------------------------------------------------
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
@@ -185,6 +90,8 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("matrix must have order >= 1")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))))
     if np.max(np.abs(a - a.T)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
@@ -192,33 +99,28 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
 
 
 def sym_eigenvalues(m: np.ndarray, tol: float = 1e-9) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, via cyclic Jacobi rotations."""
-    a = _check_symmetric(m).copy()
-    n = a.shape[0]
-    if n == 1:
-        return Spectrum([a[0, 0]], tol)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return Spectrum([0.0] * n, tol)
-    thresh = OFF_NORM_FACTOR * norm
-    skip = thresh / n
-    driver = _sweeps_numba if USE_NUMBA else _sweeps_numpy
-    sweeps = driver(a, thresh, skip, SWEEP_BUDGET)
-    if sweeps < 0:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not reach off-norm {thresh:g} within {SWEEP_BUDGET} sweeps"
-        )
-    return Spectrum(np.diagonal(a), tol)
+    """All eigenvalues of a symmetric matrix, via LAPACK's syevd (eigvalsh)."""
+    return Spectrum(np.linalg.eigvalsh(_check_symmetric(m)), tol)
 
 
 def laplacian_spectrum(g: Graph, tol: float = 1e-9) -> Spectrum:
     return sym_eigenvalues(laplacian(g), tol)
 
 
-def laplacian_energy(g: Graph) -> float:
-    """Sum of |eigenvalue - average degree| over the Laplacian spectrum."""
+def _spectrum_of(g: Graph, spectrum: Spectrum | None) -> Spectrum:
+    """The given Laplacian spectrum of g, or a fresh solve when none is given."""
+    if spectrum is None:
+        return laplacian_spectrum(g)
+    if len(spectrum) != g.n:
+        raise ValueError(f"spectrum has {len(spectrum)} values for a graph on {g.n} vertices")
+    return spectrum
+
+
+def laplacian_energy(g: Graph, spectrum: Spectrum | None = None) -> float:
+    """Sum of |eigenvalue - average degree| over the Laplacian spectrum; pass
+    the spectrum of g when it is already at hand to skip the solve."""
     dbar = float(average_degree(g))
-    return math.fsum(abs(v - dbar) for v in laplacian_spectrum(g))
+    return math.fsum(abs(v - dbar) for v in _spectrum_of(g, spectrum))
 
 
 def sigma_count(spectrum: Spectrum, dbar: float, tol: float = 1e-9) -> int:
@@ -226,15 +128,15 @@ def sigma_count(spectrum: Spectrum, dbar: float, tol: float = 1e-9) -> int:
     return spectrum.count_at_least(dbar, tol)
 
 
-def energy_report(g: Graph) -> dict:
-    spec = laplacian_spectrum(g)
-    dbar = average_degree(g)
+def energy_report(g: Graph, spectrum: Spectrum | None = None) -> dict:
+    spec = _spectrum_of(g, spectrum)
+    dbar = float(average_degree(g))
     return {
         "n": g.n,
         "edges": g.num_edges,
-        "avg_degree": float(dbar),
-        "sigma": sigma_count(spec, float(dbar)),
-        "energy": math.fsum(abs(v - float(dbar)) for v in spec),
+        "avg_degree": dbar,
+        "sigma": sigma_count(spec, dbar),
+        "energy": laplacian_energy(g, spec),
     }
 
 
@@ -310,16 +212,27 @@ def linked_core_matrix(core: Graph, link: Sequence[int]) -> np.ndarray:
 
 
 def multiset_remove(s: Spectrum, d: Spectrum, tol: float | None = None) -> Spectrum:
-    """Remove one occurrence per element of d from s, matching greedily by
-    nearest value; raises SpectrumMatchError if some element has no partner
-    within tolerance."""
+    """Remove one occurrence per element of d from s; raises
+    SpectrumMatchError if no one-to-one matching pairs every element of d
+    with an element of s within tolerance.
+
+    One ascending walk over both multisets: each x in d takes the smallest
+    unused value at or above x - tol. Values skipped below x - tol cannot
+    match any later (larger) x, so the walk finds a matching whenever one
+    exists, in O(len(s) + len(d)).
+    """
     t = s.tol if tol is None else tol
-    remaining = list(s.values)
-    for x in d.values:
-        best = min(range(len(remaining)), key=lambda i: abs(remaining[i] - x), default=None)
-        if best is None or abs(remaining[best] - x) > t:
+    src = s.values[::-1]
+    remaining = []
+    j = 0
+    for x in reversed(d.values):
+        while j < len(src) and x - src[j] > t:
+            remaining.append(src[j])
+            j += 1
+        if j == len(src) or src[j] - x > t:
             raise SpectrumMatchError(f"no match for {x!r} within {t:g}")
-        del remaining[best]
+        j += 1
+    remaining.extend(src[j:])
     return Spectrum(remaining, s.tol)
 
 
@@ -335,18 +248,25 @@ def cospectral(s1: Spectrum, s2: Spectrum, tol: float | None = None) -> bool:
     return all(abs(x - y) <= t for x, y in zip(s1.values, s2.values))
 
 
-def delta_le(g: Graph, g2: Graph, tol: float = 1e-9) -> float:
+def delta_le(
+    g: Graph,
+    g2: Graph,
+    tol: float = 1e-9,
+    spectra: tuple[Spectrum, Spectrum] | None = None,
+) -> float:
     """Laplacian-energy difference LE(g2) - LE(g) via the partial-sum formula
     2 * sum_{i<=sigma}(mu_i' - mu_i) - 4*sigma*(e' - e)/n.
 
     Both graphs must have the same vertex count and the same sigma (the number
     of eigenvalues >= their own average degree); otherwise the formula's
-    hypothesis fails and SigmaMismatchError is raised.
+    hypothesis fails and SigmaMismatchError is raised. Pass the Laplacian
+    spectra of (g, g2) when they are already at hand to skip both solves.
     """
     if g.n != g2.n:
         raise ValueError(f"vertex counts differ: {g.n} != {g2.n}")
-    s1 = laplacian_spectrum(g)
-    s2 = laplacian_spectrum(g2)
+    s1, s2 = spectra or (None, None)
+    s1 = _spectrum_of(g, s1)
+    s2 = _spectrum_of(g2, s2)
     sig1 = sigma_count(s1, float(average_degree(g)), tol)
     sig2 = sigma_count(s2, float(average_degree(g2)), tol)
     if sig1 != sig2:

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+import lapeq.checks
+import lapeq.spectra
 from lapeq.checks import (
     CheckReport,
     check_energy_equality,
@@ -28,6 +30,7 @@ from lapeq.checks import (
     sigma_sweep,
     structural_suite,
 )
+from lapeq.cli import main
 from lapeq.construct import (
     MirrorDecomposition,
     build_mirror,
@@ -135,6 +138,33 @@ def test_energy_check_forty_four_vertices():
         rep = check_energy_equality(spec, k)
         assert rep.ok
         assert rep.evidence["le_tree"] == pytest.approx(60.706984, abs=1e-5)
+
+
+@pytest.fixture
+def solve_orders(monkeypatch):
+    """Orders of every dense eigensolve, whichever module calls it."""
+    orders = []
+    solve = lapeq.spectra.sym_eigenvalues
+
+    def counted(m, *args, **kwargs):
+        orders.append(len(m))
+        return solve(m, *args, **kwargs)
+
+    for mod in (lapeq.spectra, lapeq.checks):
+        monkeypatch.setattr(mod, "sym_eigenvalues", counted)
+    return orders
+
+
+def test_each_spectrum_is_solved_once(solve_orders, capsys):
+    assert check_family(4, 2).ok
+    assert solve_orders == [44] * 5
+    solve_orders.clear()
+    assert check_energy_equality((4, 4, 2, 2, 3), 4).ok
+    assert solve_orders == [16, 16]
+    solve_orders.clear()
+    for fmt in ("text", "json", "csv"):
+        assert main(["spectrum", "cycle:9", "--format", fmt]) == 0
+    assert solve_orders == [9] * 3
 
 
 def test_energy_check_rejects_odd_k():

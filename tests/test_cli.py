@@ -203,6 +203,20 @@ def test_verify_energy_single_instance(tmp_path, capsys):
     assert report[0]["evidence"]["branches"] == [2, 2, 1]
 
 
+def test_successive_calls_do_not_share_options(tmp_path, capsys):
+    # main() reuses one parser per process; options of one call must not
+    # reach the next
+    assert main(["verify", "energy", "--branches", "2,2,1", "--k", "2", "--tol", "1e-6"]) == 0
+    assert main(["verify", "energy", "--max-n", "8"]) == 0
+    report = json.loads((tmp_path / "verify_energy.json").read_text())[0]
+    assert report["tolerance"] == 1e-8
+    assert report["evidence"]["max_n"] == 8
+    assert "branches" not in report["evidence"]
+    assert main(["verify", "sigma", "--max-n", "8", "--report", str(tmp_path / "s.json")]) == 0
+    assert main(["verify", "sigma", "--max-n", "8"]) == 0
+    assert (tmp_path / "verify_sigma.json").exists()
+
+
 def test_verify_branches_requires_k(capsys):
     assert main(["verify", "energy", "--branches", "2,2,1"]) == 2
     assert "error:" in capsys.readouterr().err

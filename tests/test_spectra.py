@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,11 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import lapeq.spectra as spectra
 from lapeq.construct import build_mirror, insert_cross_edges
-from lapeq.graphs import Graph, cycle, path, star
+from lapeq.graphs import Graph, cycle, laplacian, path, star
 from lapeq.spectra import (
-    ConvergenceError,
     SigmaMismatchError,
     Spectrum,
     SpectrumMatchError,
@@ -103,34 +102,38 @@ def test_sym_eigenvalues_validates_input():
         sym_eigenvalues(np.zeros((0, 0)))
 
 
-@pytest.mark.parametrize("use_numba", [True, False])
-def test_sym_eigenvalues_against_lapack(use_numba, monkeypatch):
-    if use_numba and not spectra.USE_NUMBA:
-        pytest.skip("numba unavailable")
-    monkeypatch.setattr(spectra, "USE_NUMBA", use_numba)
-    rng = np.random.default_rng(42)
-    for n in (2, 3, 7, 16, 40):
-        a = rng.normal(size=(n, n))
-        a = (a + a.T) / 2
-        got = np.array(sym_eigenvalues(a).values)
-        want = np.sort(np.linalg.eigvalsh(a))[::-1]
-        scale = max(1.0, float(np.linalg.norm(a)))
-        assert np.max(np.abs(got - want)) <= 1e-10 * scale
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sym_eigenvalues_rejects_non_finite(bad):
+    # LAPACK returns garbage for these instead of failing
+    with pytest.raises(ValueError, match="non-finite"):
+        sym_eigenvalues(np.array([[bad, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        sym_eigenvalues(np.array([[1.0, bad], [bad, 1.0]]))
 
 
-def test_both_drivers_agree(monkeypatch):
-    if not spectra.USE_NUMBA:
-        pytest.skip("numba unavailable")
-    a = laplacian_spectrum(cycle(12)).values
-    monkeypatch.setattr(spectra, "USE_NUMBA", False)
-    b = laplacian_spectrum(cycle(12)).values
-    assert np.max(np.abs(np.array(a) - np.array(b))) <= 1e-12
+def complete(n):
+    return Graph(n, itertools.combinations(range(1, n + 1), 2))
 
 
-def test_convergence_error(monkeypatch):
-    monkeypatch.setattr(spectra, "SWEEP_BUDGET", 0)
-    with pytest.raises(ConvergenceError):
-        sym_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
+CLOSED_FORMS = {
+    "path": (path, lambda n: [2 - 2 * math.cos(math.pi * j / n) for j in range(n)]),
+    "cycle": (cycle, lambda n: [2 - 2 * math.cos(2 * math.pi * j / n) for j in range(n)]),
+    "complete": (complete, lambda n: [0.0] + [float(n)] * (n - 1)),
+    "star": (star, lambda n: [0.0] + [1.0] * (n - 2) + [float(n)]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CLOSED_FORMS))
+@pytest.mark.parametrize("n", [3, 4, 7, 16, 57, 128, 200])
+def test_laplacian_spectrum_closed_forms(family, n):
+    build, closed = CLOSED_FORMS[family]
+    g = build(n)
+    got = np.array(laplacian_spectrum(g).values)
+    want = np.sort(closed(n))[::-1]
+    # backward-stable solve: error within a small multiple of n * eps * ||L||_2,
+    # and ||L||_2 <= 2 * max degree
+    norm_bound = 2.0 * float(np.max(np.diagonal(laplacian(g))))
+    assert np.max(np.abs(got - want)) <= 4 * n * np.finfo(float).eps * norm_bound
 
 
 # --- Laplacian spectra ------------------------------------------------------------
@@ -189,6 +192,22 @@ def test_energy_report_fields():
     assert rep["avg_degree"] == pytest.approx(30 / 11, abs=1e-15)
     assert rep["sigma"] == 4  # reference values at or above 30/11: 9.036, 4, 4, 3.618
     assert rep["energy"] == pytest.approx(laplacian_energy(g), abs=1e-12)
+
+
+def test_energy_functions_reuse_a_given_spectrum():
+    g, _ = example_pair()
+    s = laplacian_spectrum(g)
+    assert laplacian_energy(g, s) == laplacian_energy(g)
+    assert energy_report(g, s) == energy_report(g)
+    h, h2 = path(6), Graph(6, list(path(6).edges) + [(1, 3)])
+    pair = (laplacian_spectrum(h), laplacian_spectrum(h2))
+    assert delta_le(h, h2, spectra=pair) == delta_le(h, h2)
+    # the given spectrum is what gets used
+    assert laplacian_energy(path(2), Spectrum([4.0, 0.0])) == 4.0
+    with pytest.raises(ValueError, match="vertices"):
+        laplacian_energy(g, Spectrum(s.values[:-1]))
+    with pytest.raises(ValueError, match="vertices"):
+        delta_le(h, h2, spectra=(pair[0], Spectrum([1.0])))
 
 
 # --- tridiagonal closed form ---------------------------------------------------------
@@ -311,6 +330,34 @@ def test_union_then_remove_round_trips(base, extra):
     s = Spectrum(base)
     f = Spectrum(extra)
     assert multiset_remove(multiset_union(s, f), f) == s
+
+
+def test_multiset_remove_finds_non_greedy_matching():
+    # nearest-value greedy pairs 1 with 1 + 0.99t and leaves 1 - 1.83t
+    # without a partner; the matching 1 - 1.83t ~ 1 - 0.9t, 1 ~ 1 + 0.99t exists
+    t = 1e-9
+    s = Spectrum([1 + 0.99 * t, 1 - 0.9 * t])
+    d = Spectrum([1.0, 1 - 1.83 * t])
+    assert len(multiset_remove(s, d, t)) == 0
+    rest = multiset_remove(multiset_union(s, Spectrum([5.0])), d, t)
+    assert rest.values == (5.0,)
+
+
+@given(
+    values=st.lists(st.integers(-60, 60).map(lambda x: x / 64), min_size=1, max_size=15),
+    data=st.data(),
+)
+def test_multiset_remove_accepts_any_perturbed_sub_multiset(values, data):
+    # a 1/64 grid against tol = 0.1 puts several values within tol of each other
+    tol = 0.1
+    s = Spectrum(values, tol)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    shifts = data.draw(
+        st.lists(st.floats(-0.99, 0.99), min_size=len(values), max_size=len(values))
+    )
+    d = Spectrum([v + tol * u for v, u, k in zip(values, shifts, keep) if k], tol)
+    rest = multiset_remove(s, d)
+    assert len(rest) == len(s) - len(d)
 
 
 # --- energy difference formula -------------------------------------------------------
