@@ -95,20 +95,32 @@ def format_report_table(reports: Sequence[CheckReport]) -> str:
 # --- single-instance checks ---------------------------------------------------
 
 
-def _identity_residual(
-    lg: Spectrum, lg2: Spectrum, removed: Spectrum, added: Spectrum, tol: float
-) -> tuple[float | None, str | None]:
-    """Residual of Lspect(g2) = (Lspect(g) without removed) plus added, or an
-    error message when the removal itself fails."""
+def _replacement_report(
+    claim: str,
+    dec: MirrorDecomposition,
+    cross: Sequence[int],
+    removed: Spectrum,
+    added: Spectrum,
+    tol: float,
+    evidence: dict,
+) -> CheckReport:
+    """The replacement identity Lspect(g2) = (Lspect(g) without removed) plus
+    added, g2 being dec.graph with the cross edges inserted; a removal that
+    fails is reported as an error in the evidence."""
+    g2 = insert_cross_edges(dec, cross)
+    lg = laplacian_spectrum(dec.graph)
+    lg2 = laplacian_spectrum(g2)
+    evidence.update(
+        n=dec.n, k=dec.k, removed=list(removed.values), added=list(added.values), max_residual=None
+    )
     try:
-        rest = multiset_remove(lg, removed, tol)
+        predicted = multiset_union(multiset_remove(lg, removed, tol), added)
     except SpectrumMatchError as exc:
-        return None, str(exc)
-    predicted = multiset_union(rest, added)
-    if len(predicted) != len(lg2):
-        return None, f"size mismatch: {len(predicted)} != {len(lg2)}"
-    resid = max(abs(x - y) for x, y in zip(predicted.values, lg2.values))
-    return resid, None
+        evidence["error"] = str(exc)
+        return CheckReport(claim, False, tol, evidence)
+    resid = max(abs(x - y) for x, y in zip(predicted.values, lg2.values, strict=True))
+    evidence["max_residual"] = resid
+    return CheckReport(claim, resid <= tol, tol, evidence)
 
 
 def check_spectral_replacement(
@@ -121,22 +133,8 @@ def check_spectral_replacement(
     cross_v = tuple(int(x) for x in cross)
     removed = sym_eigenvalues(h)
     added = sym_eigenvalues(h + 2.0 * np.diag(np.asarray(cross_v, dtype=float)))
-    g2 = insert_cross_edges(dec, cross_v)
-    lg = laplacian_spectrum(dec.graph)
-    lg2 = laplacian_spectrum(g2)
-    resid, err = _identity_residual(lg, lg2, removed, added, tol)
-    evidence = {
-        "n": dec.n,
-        "k": dec.k,
-        "link": list(dec.link),
-        "cross": list(cross_v),
-        "removed": list(removed.values),
-        "added": list(added.values),
-        "max_residual": resid,
-    }
-    if err is not None:
-        evidence["error"] = err
-    return CheckReport("replacement", err is None and resid <= tol, tol, evidence)
+    evidence = {"link": list(dec.link), "cross": list(cross_v)}
+    return _replacement_report("replacement", dec, cross_v, removed, added, tol, evidence)
 
 
 def check_path_replacement(
@@ -155,20 +153,19 @@ def check_path_replacement(
             raise ValueError("k is required when passing a bare graph")
         dec = as_mirror(target, k)
     removed, added = replacement_spectra(k)
-    g2 = insert_cross_edges(dec, unit_vector(k))
-    lg = laplacian_spectrum(dec.graph)
-    lg2 = laplacian_spectrum(g2)
-    resid, err = _identity_residual(lg, lg2, removed, added, tol)
-    evidence = {
-        "n": dec.n,
-        "k": k,
-        "removed": list(removed.values),
-        "added": list(added.values),
-        "max_residual": resid,
-    }
-    if err is not None:
-        evidence["error"] = err
-    return CheckReport("path-replacement", err is None and resid <= tol, tol, evidence)
+    return _replacement_report("path-replacement", dec, unit_vector(k), removed, added, tol, {})
+
+
+def _tree_and_companion(spec: StarlikeSpec | Iterable[int], k: int) -> tuple[Graph, Graph, dict]:
+    """The starlike tree of spec, its companion with a cross edge between the
+    two length-k branches, and the evidence that names the instance."""
+    if not isinstance(spec, StarlikeSpec):
+        spec = StarlikeSpec(spec)
+    if k % 2:
+        raise ValueError(f"k must be even, got {k}")
+    g = build_starlike(spec)
+    g2 = insert_cross_edges(as_mirror(g, k), unit_vector(k))
+    return g, g2, {"n": spec.n, "k": k, "branches": list(spec.branches)}
 
 
 def check_energy_equality(
@@ -176,25 +173,13 @@ def check_energy_equality(
 ) -> CheckReport:
     """A cross edge between the two length-k branches preserves Laplacian
     energy, and the partial-sum formula reproduces the (zero) difference."""
-    if not isinstance(spec, StarlikeSpec):
-        spec = StarlikeSpec(spec)
-    if k % 2:
-        raise ValueError(f"k must be even, got {k}")
-    g = build_starlike(spec)
-    g2 = insert_cross_edges(as_mirror(g, k), unit_vector(k))
+    g, g2, evidence = _tree_and_companion(spec, k)
     spec_tree = laplacian_spectrum(g)
     spec_uni = laplacian_spectrum(g2)
     le_tree = laplacian_energy(g, spec_tree)
     le_uni = laplacian_energy(g2, spec_uni)
     direct = le_uni - le_tree
-    evidence = {
-        "n": spec.n,
-        "k": k,
-        "branches": list(spec.branches),
-        "le_tree": le_tree,
-        "le_unicyclic": le_uni,
-        "direct_diff": direct,
-    }
+    evidence.update(le_tree=le_tree, le_unicyclic=le_uni, direct_diff=direct)
     try:
         formula = delta_le(g, g2, spectra=(spec_tree, spec_uni))
     except SigmaMismatchError as exc:
@@ -210,23 +195,12 @@ def check_energy_equality(
 def check_sigma(spec: StarlikeSpec | Iterable[int], k: int) -> CheckReport:
     """Both the tree and its cross-edge companion have exactly n/2 Laplacian
     eigenvalues at or above their average degree."""
-    if not isinstance(spec, StarlikeSpec):
-        spec = StarlikeSpec(spec)
-    if k % 2:
-        raise ValueError(f"k must be even, got {k}")
-    g = build_starlike(spec)
-    g2 = insert_cross_edges(as_mirror(g, k), unit_vector(k))
+    g, g2, evidence = _tree_and_companion(spec, k)
     s_tree = sigma_graph(g)
     s_uni = sigma_graph(g2)
-    evidence = {
-        "n": spec.n,
-        "k": k,
-        "branches": list(spec.branches),
-        "sigma_tree": s_tree,
-        "sigma_unicyclic": s_uni,
-        "half_n": spec.n // 2,
-    }
-    return CheckReport("sigma", s_tree == s_uni == spec.n // 2, None, evidence)
+    half_n = g.n // 2
+    evidence.update(sigma_tree=s_tree, sigma_unicyclic=s_uni, half_n=half_n)
+    return CheckReport("sigma", s_tree == s_uni == half_n, None, evidence)
 
 
 def check_family(
@@ -339,6 +313,39 @@ def random_mirror(
 # --- suites ---------------------------------------------------------------------
 
 
+def _tally(outcomes: Iterable[tuple[bool, float | None, dict]], residuals: bool = True) -> dict:
+    """Fold per-instance (ok, residual, failure record) triples into the
+    evidence every suite shares: the instance count, the worst residual when
+    the claim has residuals, the first 10 failure records and their count."""
+    instances, worst, failures = 0, 0.0, []
+    for ok, resid, failure in outcomes:
+        instances += 1
+        if resid is not None:
+            worst = max(worst, resid)
+        if not ok:
+            failures.append(failure)
+    evidence = {"instances": instances, "failures": failures[:10], "failure_count": len(failures)}
+    if residuals:
+        evidence["max_residual"] = worst
+    return evidence
+
+
+def _details(
+    claim: str, tol: float, cases: Iterable[tuple[CheckReport, dict]], residual_key: str
+) -> CheckReport:
+    """One detail row per (report, row label) case, with its status and
+    residual; passes when every case passes."""
+    worst, ok, details = 0.0, True, []
+    for rep, label in cases:
+        resid = rep.evidence["max_residual"]
+        if resid is not None:
+            worst = max(worst, resid)
+        ok = ok and rep.ok
+        details.append({**label, "status": rep.status, residual_key: resid})
+    evidence = {"instances": len(details), "max_residual": worst, "details": details}
+    return CheckReport(claim, ok, tol, evidence)
+
+
 def replacement_suite(
     count: int = 50,
     seed: int = 7,
@@ -347,25 +354,17 @@ def replacement_suite(
     tol: float = 1e-8,
 ) -> CheckReport:
     rng = random.Random(seed)
-    worst = 0.0
-    failures = []
-    for i in range(count):
-        dec, cross = random_mirror(rng, max_core, max_host)
-        rep = check_spectral_replacement(dec, cross, tol)
-        resid = rep.evidence["max_residual"]
-        if resid is not None:
-            worst = max(worst, resid)
-        if not rep.ok:
-            failures.append({"instance": i, "n": dec.n, "k": dec.k, "residual": resid})
-    evidence = {
-        "instances": count,
-        "max_core": max_core,
-        "max_host": max_host,
-        "max_residual": worst,
-        "failures": failures[:10],
-        "failure_count": len(failures),
-    }
-    return CheckReport("replacement", not failures, tol, evidence, seed)
+
+    def outcomes():
+        for i in range(count):
+            dec, cross = random_mirror(rng, max_core, max_host)
+            rep = check_spectral_replacement(dec, cross, tol)
+            resid = rep.evidence["max_residual"]
+            yield rep.ok, resid, {"instance": i, "n": dec.n, "k": dec.k, "residual": resid}
+
+    evidence = _tally(outcomes())
+    evidence.update(max_core=max_core, max_host=max_host)
+    return CheckReport("replacement", not evidence["failure_count"], tol, evidence, seed)
 
 
 def path_replacement_examples(tol: float = 1e-8) -> CheckReport:
@@ -382,18 +381,11 @@ def path_replacement_examples(tol: float = 1e-8) -> CheckReport:
         ("cycle-host-k3", build_mirror(path(3), cycle(5), 1, unit_vector(3, 3)), None),
         ("cycle-host-k1", build_mirror(path(1), cycle(5), 2, unit_vector(1, 1)), None),
     ]
-    details = []
-    worst = 0.0
-    ok = True
-    for name, target, k in instances:
-        rep = check_path_replacement(target, k, tol)
-        resid = rep.evidence["max_residual"]
-        if resid is not None:
-            worst = max(worst, resid)
-        ok = ok and rep.ok
-        details.append({"instance": name, "status": rep.status, "residual": resid})
-    evidence = {"instances": len(instances), "max_residual": worst, "details": details}
-    return CheckReport("path-replacement", ok, tol, evidence)
+    cases = (
+        (check_path_replacement(target, k, tol), {"instance": name})
+        for name, target, k in instances
+    )
+    return _details("path-replacement", tol, cases, "residual")
 
 
 def iter_starlike_specs(max_n: int) -> Iterator[StarlikeSpec]:
@@ -425,58 +417,44 @@ def iter_starlike_specs(max_n: int) -> Iterator[StarlikeSpec]:
                 yield StarlikeSpec(evens + (odd,))
 
 
+def _starlike_grid(max_n: int) -> list[tuple[StarlikeSpec, int]]:
+    """Every eligible branch profile with n <= max_n, paired with each of its
+    admissible even branch lengths."""
+    return [(spec, k) for spec in iter_starlike_specs(max_n) for k in spec.admissible_lengths()]
+
+
 def energy_sweep(max_n: int = 30, tol: float = 1e-8) -> CheckReport:
     """check_energy_equality over every eligible branch profile with n <= max_n
     and every admissible even branch length."""
-    worst = 0.0
-    instances = 0
-    specs = 0
-    failures = []
-    for spec in iter_starlike_specs(max_n):
-        specs += 1
-        for k in spec.admissible_lengths():
-            instances += 1
+    grid = _starlike_grid(max_n)
+
+    def outcomes():
+        for spec, k in grid:
             rep = check_energy_equality(spec, k, tol)
             resid = rep.evidence["max_residual"]
-            if resid is not None:
-                worst = max(worst, resid)
-            if not rep.ok:
-                failures.append({"branches": list(spec.branches), "k": k, "residual": resid})
-    evidence = {
-        "max_n": max_n,
-        "specs": specs,
-        "instances": instances,
-        "max_residual": worst,
-        "failures": failures[:10],
-        "failure_count": len(failures),
-    }
-    return CheckReport("energy", not failures, tol, evidence)
+            yield rep.ok, resid, {"branches": list(spec.branches), "k": k, "residual": resid}
+
+    evidence = _tally(outcomes())
+    evidence.update(max_n=max_n, specs=len({spec for spec, _ in grid}))
+    return CheckReport("energy", not evidence["failure_count"], tol, evidence)
 
 
 def sigma_sweep(max_n: int = 30) -> CheckReport:
     """check_sigma over the same instance grid as energy_sweep."""
-    instances = 0
-    failures = []
-    for spec in iter_starlike_specs(max_n):
-        for k in spec.admissible_lengths():
-            instances += 1
+
+    def outcomes():
+        for spec, k in _starlike_grid(max_n):
             rep = check_sigma(spec, k)
-            if not rep.ok:
-                failures.append(
-                    {
-                        "branches": list(spec.branches),
-                        "k": k,
-                        "sigma_tree": rep.evidence["sigma_tree"],
-                        "sigma_unicyclic": rep.evidence["sigma_unicyclic"],
-                    }
-                )
-    evidence = {
-        "max_n": max_n,
-        "instances": instances,
-        "failures": failures[:10],
-        "failure_count": len(failures),
-    }
-    return CheckReport("sigma", not failures, None, evidence)
+            yield rep.ok, None, {
+                "branches": list(spec.branches),
+                "k": k,
+                "sigma_tree": rep.evidence["sigma_tree"],
+                "sigma_unicyclic": rep.evidence["sigma_unicyclic"],
+            }
+
+    evidence = _tally(outcomes(), residuals=False)
+    evidence["max_n"] = max_n
+    return CheckReport("sigma", not evidence["failure_count"], None, evidence)
 
 
 def family_sweep(
@@ -485,27 +463,15 @@ def family_sweep(
     placements: Sequence[str] = ("even", "odd"),
     tol: float = 1e-8,
 ) -> CheckReport:
-    worst = 0.0
-    details = []
-    ok = True
-    for ell in ells:
-        for gamma in gammas:
-            for placement in placements:
-                rep = check_family(ell, gamma, placement, tol)
-                worst = max(worst, rep.evidence["max_residual"])
-                ok = ok and rep.ok
-                details.append(
-                    {
-                        "ell": ell,
-                        "gamma": gamma,
-                        "placement": placement,
-                        "n": rep.evidence["n"],
-                        "status": rep.status,
-                        "energy_spread": rep.evidence["max_residual"],
-                    }
-                )
-    evidence = {"instances": len(details), "max_residual": worst, "details": details}
-    return CheckReport("family", ok, tol, evidence)
+    def cases():
+        for ell in ells:
+            for gamma in gammas:
+                for placement in placements:
+                    rep = check_family(ell, gamma, placement, tol)
+                    label = {"ell": ell, "gamma": gamma, "placement": placement}
+                    yield rep, {**label, "n": rep.evidence["n"]}
+
+    return _details("family", tol, cases(), "energy_spread")
 
 
 def jt_oracle_suite(
@@ -515,43 +481,35 @@ def jt_oracle_suite(
     tol from alpha classify strictly; anything inside the band is ambiguous,
     and the exact count must place it consistently."""
     rng = random.Random(seed)
-    failures = []
     ambiguous_instances = 0
-    for i in range(count):
-        n = rng.randint(1, max_n)
-        tree = random_tree(rng, n)
-        den = rng.randint(1, 10)
-        alpha = Fraction(rng.randint(0, n * den), den)
-        res = jt_locate(tree, alpha, root=rng.randint(1, n))
-        spec = laplacian_spectrum(tree)
-        af = float(alpha)
-        strict_above = sum(1 for v in spec if v > af + tol)
-        strict_below = sum(1 for v in spec if v < af - tol)
-        amb = n - strict_above - strict_below
-        if amb:
-            ambiguous_instances += 1
-        if not (
-            res.above >= strict_above
-            and res.below >= strict_below
-            and res.equal <= amb
-        ):
-            failures.append(
-                {
-                    "instance": i,
-                    "n": n,
-                    "alpha": str(alpha),
-                    "jt": [res.above, res.equal, res.below],
-                    "dense_strict": [strict_above, amb, strict_below],
-                }
-            )
-    evidence = {
-        "instances": count,
-        "max_n": max_n,
-        "ambiguous_instances": ambiguous_instances,
-        "failures": failures[:10],
-        "failure_count": len(failures),
-    }
-    return CheckReport("jt-oracle", not failures, tol, evidence, seed)
+
+    def outcomes():
+        nonlocal ambiguous_instances
+        for i in range(count):
+            n = rng.randint(1, max_n)
+            tree = random_tree(rng, n)
+            den = rng.randint(1, 10)
+            alpha = Fraction(rng.randint(0, n * den), den)
+            res = jt_locate(tree, alpha, root=rng.randint(1, n))
+            spec = laplacian_spectrum(tree)
+            af = float(alpha)
+            strict_above = sum(1 for v in spec if v > af + tol)
+            strict_below = sum(1 for v in spec if v < af - tol)
+            amb = n - strict_above - strict_below
+            if amb:
+                ambiguous_instances += 1
+            ok = res.above >= strict_above and res.below >= strict_below and res.equal <= amb
+            yield ok, None, {
+                "instance": i,
+                "n": n,
+                "alpha": str(alpha),
+                "jt": [res.above, res.equal, res.below],
+                "dense_strict": [strict_above, amb, strict_below],
+            }
+
+    evidence = _tally(outcomes(), residuals=False)
+    evidence.update(max_n=max_n, ambiguous_instances=ambiguous_instances)
+    return CheckReport("jt-oracle", not evidence["failure_count"], tol, evidence, seed)
 
 
 def structural_suite(
@@ -560,34 +518,27 @@ def structural_suite(
     """Spectrum sum = 2*edges and kernel multiplicity = component count on
     random graphs."""
     rng = random.Random(seed)
-    worst = 0.0
-    failures = []
-    for i in range(count):
-        n = rng.randint(1, max_n)
-        g = random_graph(rng, n, rng.uniform(0.02, 0.6))
-        spec = laplacian_spectrum(g)
-        trace_resid = abs(spec.sum() - 2.0 * g.num_edges)
-        worst = max(worst, trace_resid)
-        kernel = spec.multiplicity(0.0, tol)
-        comps = len(connected_components(g))
-        if trace_resid > tol or kernel != comps:
-            failures.append(
-                {
-                    "instance": i,
-                    "n": n,
-                    "trace_residual": trace_resid,
-                    "kernel": kernel,
-                    "components": comps,
-                }
-            )
-    evidence = {
-        "instances": count,
-        "max_n": max_n,
-        "max_residual": worst,
-        "failures": failures[:10],
-        "failure_count": len(failures),
-    }
-    return CheckReport("structural", not failures, tol, evidence, seed)
+
+    def outcomes():
+        for i in range(count):
+            n = rng.randint(1, max_n)
+            g = random_graph(rng, n, rng.uniform(0.02, 0.6))
+            spec = laplacian_spectrum(g)
+            trace_resid = abs(spec.sum() - 2.0 * g.num_edges)
+            kernel = spec.multiplicity(0.0, tol)
+            comps = len(connected_components(g))
+            ok = trace_resid <= tol and kernel == comps
+            yield ok, trace_resid, {
+                "instance": i,
+                "n": n,
+                "trace_residual": trace_resid,
+                "kernel": kernel,
+                "components": comps,
+            }
+
+    evidence = _tally(outcomes())
+    evidence["max_n"] = max_n
+    return CheckReport("structural", not evidence["failure_count"], tol, evidence, seed)
 
 
 def odd_branch_experiment(max_n: int = 40) -> CheckReport:

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import checks
 from .construct import (
-    StarlikeSpec,
     build_mirror,
     build_starlike,
     insert_cross_edges,
@@ -64,6 +63,16 @@ def parse_branches(text: str) -> tuple[int, ...]:
         raise ValueError(f"branches must be comma-separated integers, got {text!r}")
 
 
+def parse_placement(text: str) -> str | tuple[int, ...]:
+    """Family filler placement: even, odd, or comma-separated even lengths."""
+    if text in ("even", "odd"):
+        return text
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"placement must be even, odd, or lengths like 4,2, got {text!r}")
+
+
 def parse_binary(text: str) -> tuple[int, ...]:
     digits = text.replace(",", "")
     if not digits or any(ch not in "01" for ch in digits):
@@ -104,10 +113,8 @@ def cmd_build_starlike(args) -> int:
 
 
 def cmd_build_family(args) -> int:
-    placement = args.placement
-    if placement not in ("even", "odd"):
-        placement = [int(x) for x in placement.split(",")] if placement else []
-    tag = args.placement if isinstance(placement, str) else "-".join(map(str, placement))
+    placement = parse_placement(args.placement)
+    tag = placement if isinstance(placement, str) else "-".join(map(str, placement))
     outdir = args.outdir or os.path.join(
         _outdir(), f"family_ell{args.ell}_gamma{args.gamma}_{tag}"
     )
@@ -185,70 +192,46 @@ def cmd_jt(args) -> int:
     return 0
 
 
-def _finish_verify(reports, args) -> int:
+# claim -> its reports; path-replacement, energy and sigma check the single
+# --branches/--k instance when --branches is given, else their default sweep
+_VERIFY = {
+    "replacement": lambda a: [
+        checks.replacement_suite(
+            count=a.count, seed=a.seed, max_core=a.max_core, max_host=a.max_host, tol=a.tol
+        )
+    ],
+    "path-replacement": lambda a: [
+        checks.check_path_replacement(spider(parse_branches(a.branches)), a.k, a.tol)
+        if a.branches
+        else checks.path_replacement_examples(a.tol)
+    ],
+    "energy": lambda a: [
+        checks.check_energy_equality(parse_branches(a.branches), a.k, a.tol)
+        if a.branches
+        else checks.energy_sweep(max_n=a.max_n, tol=a.tol)
+    ],
+    "sigma": lambda a: [
+        checks.check_sigma(parse_branches(a.branches), a.k)
+        if a.branches
+        else checks.sigma_sweep(max_n=a.max_n)
+    ],
+    "family": lambda a: [
+        checks.check_family(a.ell, a.gamma, parse_placement(a.placement), a.tol)
+    ],
+    "trig": lambda a: [checks.check_trig_identity(a.kmax, a.tol)],
+    "all": lambda a: checks.run_all(seed=a.seed, budget=a.budget, experiments=a.experiments),
+}
+
+
+def cmd_verify(args) -> int:
+    if getattr(args, "branches", None) and args.k is None:
+        raise ValueError("--k is required with --branches")
+    reports = _VERIFY[args.claim](args)
     print(checks.format_report_table(reports))
     out = args.report or os.path.join(_outdir(), f"verify_{args.claim}.json")
     payload = [rep.to_dict() for rep in reports]
     _write(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if all(rep.ok for rep in reports) else 1
-
-
-def cmd_verify_replacement(args) -> int:
-    rep = checks.replacement_suite(
-        count=args.count,
-        seed=args.seed,
-        max_core=args.max_core,
-        max_host=args.max_host,
-        tol=args.tol,
-    )
-    return _finish_verify([rep], args)
-
-
-def cmd_verify_path_replacement(args) -> int:
-    if args.branches:
-        if args.k is None:
-            raise ValueError("--k is required with --branches")
-        rep = checks.check_path_replacement(spider(parse_branches(args.branches)), args.k, args.tol)
-    else:
-        rep = checks.path_replacement_examples(args.tol)
-    return _finish_verify([rep], args)
-
-
-def cmd_verify_energy(args) -> int:
-    if args.branches:
-        if args.k is None:
-            raise ValueError("--k is required with --branches")
-        rep = checks.check_energy_equality(StarlikeSpec(parse_branches(args.branches)), args.k, args.tol)
-    else:
-        rep = checks.energy_sweep(max_n=args.max_n, tol=args.tol)
-    return _finish_verify([rep], args)
-
-
-def cmd_verify_sigma(args) -> int:
-    if args.branches:
-        if args.k is None:
-            raise ValueError("--k is required with --branches")
-        rep = checks.check_sigma(StarlikeSpec(parse_branches(args.branches)), args.k)
-    else:
-        rep = checks.sigma_sweep(max_n=args.max_n)
-    return _finish_verify([rep], args)
-
-
-def cmd_verify_family(args) -> int:
-    placement = args.placement
-    if placement not in ("even", "odd"):
-        placement = [int(x) for x in placement.split(",")]
-    rep = checks.check_family(args.ell, args.gamma, placement, args.tol)
-    return _finish_verify([rep], args)
-
-
-def cmd_verify_trig(args) -> int:
-    return _finish_verify([checks.check_trig_identity(args.kmax, args.tol)], args)
-
-
-def cmd_verify_all(args) -> int:
-    reports = checks.run_all(seed=args.seed, budget=args.budget, experiments=args.experiments)
-    return _finish_verify(reports, args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,17 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     v_all.add_argument("--budget", choices=("small", "full"), default="small")
     v_all.add_argument("--experiments", action="store_true", help="include beyond-proven-bound probes")
 
-    for sp, fn in (
-        (v_rep, cmd_verify_replacement),
-        (v_path, cmd_verify_path_replacement),
-        (v_energy, cmd_verify_energy),
-        (v_sigma, cmd_verify_sigma),
-        (v_fam, cmd_verify_family),
-        (v_trig, cmd_verify_trig),
-        (v_all, cmd_verify_all),
-    ):
+    for sp in vsub.choices.values():
         sp.add_argument("--report", help="JSON report path")
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=cmd_verify)
 
     jt = sub.add_parser("jt", help="exact above/at/below eigenvalue counts for a tree")
     jt.add_argument("graph", help="graph shorthand or edge-list file")
@@ -365,8 +340,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, TypeError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

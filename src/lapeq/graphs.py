@@ -133,15 +133,14 @@ def is_connected(g: Graph) -> bool:
 
 def classify(g: Graph) -> str:
     """One of "tree", "unicyclic", "forest", "other"."""
-    connected = is_connected(g)
-    if connected and g.num_edges == g.n - 1:
+    parts = len(connected_components(g))
+    if parts == 1 and g.num_edges == g.n - 1:
         return "tree"
-    if connected and g.num_edges == g.n:
+    if parts == 1 and g.num_edges == g.n:
         return "unicyclic"
-    if not connected and g.num_edges < g.n - 1:
-        # acyclic iff every component is a tree, i.e. e = n - #components
-        if g.num_edges == g.n - len(connected_components(g)):
-            return "forest"
+    # acyclic iff every component is a tree, i.e. e = n - #components
+    if parts > 1 and g.num_edges == g.n - parts:
+        return "forest"
     return "other"
 
 

@@ -99,6 +99,6 @@ def sigma_graph(g: Graph) -> int:
     trees, dense-spectrum count otherwise."""
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    if classify(g) == "tree":
+    if g.num_edges == g.n - 1:
         return sigma_tree(g)
     return sigma_count(laplacian_spectrum(g), float(average_degree(g)))

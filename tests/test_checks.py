@@ -328,6 +328,47 @@ def test_structural_suite():
     assert rep.evidence["max_residual"] <= 1e-9
 
 
+def test_suite_failures_keep_the_first_ten_and_count_all():
+    rep = structural_suite(count=15, tol=-1.0)  # no residual is <= -1
+    assert not rep.ok
+    assert rep.evidence["instances"] == 15
+    assert rep.evidence["failure_count"] == 15
+    assert [f["instance"] for f in rep.evidence["failures"]] == list(range(10))
+    worst_kept = max(f["trace_residual"] for f in rep.evidence["failures"])
+    assert rep.evidence["max_residual"] >= worst_kept
+
+
+SUITE_KEYS = {"instances", "failures", "failure_count"}
+DETAIL_KEYS = {"instances", "max_residual", "details"}
+EVIDENCE_KEYS = {
+    "energy": SUITE_KEYS | {"max_residual", "max_n", "specs"},
+    "family": DETAIL_KEYS,
+    "jt-oracle": SUITE_KEYS | {"max_n", "ambiguous_instances"},
+    "odd-branch-experiment": {"instances", "holds", "observations"},
+    "path-replacement": DETAIL_KEYS,
+    "replacement": SUITE_KEYS | {"max_residual", "max_core", "max_host"},
+    "sigma": SUITE_KEYS | {"max_n"},
+    "structural": SUITE_KEYS | {"max_residual", "max_n"},
+    "trig": {"instances", "k_max", "max_residual", "worst_k"},
+}
+
+
+def test_evidence_keys_are_stable():
+    reports = run_all(budget="small", experiments=True)
+    assert {rep.claim: set(rep.evidence) for rep in reports} == EVIDENCE_KEYS
+    replaced = {"n", "k", "removed", "added", "max_residual"}
+    named = {"n", "k", "branches"}
+    single = [
+        (check_spectral_replacement(example_dec(), (1, 1, 1)), replaced | {"link", "cross"}),
+        (check_path_replacement(build_starlike((2, 2, 1)), 2), replaced),
+        (check_energy_equality((2, 2, 1), 2), named | {
+            "le_tree", "le_unicyclic", "direct_diff", "formula_diff", "max_residual"}),
+        (check_sigma((2, 2, 1), 2), named | {"sigma_tree", "sigma_unicyclic", "half_n"}),
+    ]
+    for rep, keys in single:
+        assert set(rep.evidence) == keys, rep.claim
+
+
 def test_odd_branch_experiment_is_observational():
     rep = odd_branch_experiment(max_n=30)
     assert rep.ok  # always: it records observations, it proves nothing

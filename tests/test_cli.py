@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from lapeq.cli import main, parse_alpha, parse_binary, parse_branches, parse_graph_arg
+import lapeq.cli
+from lapeq.cli import (
+    main,
+    parse_alpha,
+    parse_binary,
+    parse_branches,
+    parse_graph_arg,
+    parse_placement,
+)
 from lapeq.construct import build_starlike
 from lapeq.graphs import Graph, cycle, load_graph, path, save_graph, star
 
@@ -47,6 +55,22 @@ def test_parse_binary():
         parse_binary("")
     with pytest.raises(ValueError):
         parse_binary("102")
+
+
+def test_parse_placement():
+    assert parse_placement("even") == "even"
+    assert parse_placement("odd") == "odd"
+    assert parse_placement("4,2") == (4, 2)
+    for bad in ("", "4,x", "middle"):
+        with pytest.raises(ValueError):
+            parse_placement(bad)
+
+
+def test_build_and_verify_agree_on_placement(tmp_path, capsys):
+    for cmd in ("build", "verify"):
+        assert main([cmd, "family", "--ell", "2", "--gamma", "2", "--placement", "2"]) == 0
+        assert main([cmd, "family", "--ell", "2", "--placement", ""]) == 2
+        assert "placement must be" in capsys.readouterr().err
 
 
 def test_parse_alpha():
@@ -178,6 +202,16 @@ def test_jt_decimal_alpha(capsys):
     out = capsys.readouterr().out
     assert "alpha: 1.8" in out
     assert "above: 1" in out  # spectrum {3, 1, 0}
+
+
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 7.3 TiB"), MemoryError()])
+def test_out_of_memory_is_an_input_error(exc, monkeypatch, capsys):
+    def too_large(g):
+        raise exc
+
+    monkeypatch.setattr(lapeq.cli, "laplacian_spectrum", too_large)
+    assert main(["spectrum", "path:4"]) == 2
+    assert capsys.readouterr().err == f"error: {str(exc) or 'MemoryError'}\n"
 
 
 def test_jt_rejects_non_tree(capsys):
