@@ -22,11 +22,13 @@ from .construct import (
     as_mirror,
     build_mirror,
     build_starlike,
+    cross_edge,
     generate_family,
     insert_cross_edges,
+    spider,
     unit_vector,
 )
-from .graphs import Graph, connected_components, cycle, path
+from .graphs import Graph, connected_components, cycle, laplacian, path
 from .spectra import (
     SigmaMismatchError,
     Spectrum,
@@ -164,7 +166,7 @@ def _tree_and_companion(spec: StarlikeSpec | Iterable[int], k: int) -> tuple[Gra
     if k % 2:
         raise ValueError(f"k must be even, got {k}")
     g = build_starlike(spec)
-    g2 = insert_cross_edges(as_mirror(g, k), unit_vector(k))
+    g2 = g.add_edges([cross_edge(spec.branches, k)])
     return g, g2, {"n": spec.n, "k": k, "branches": list(spec.branches)}
 
 
@@ -371,8 +373,6 @@ def path_replacement_examples(tol: float = 1e-8) -> CheckReport:
     """Fixed path-core instances: the smallest starlike member, one tree
     viewed two ways over its repeated branch lengths, an odd path core, and a
     cycle host (the wider class: any host, path core linked at its far end)."""
-    from .construct import spider
-
     instances: list[tuple[str, Graph | MirrorDecomposition, int | None]] = [
         ("starlike-2-2-1-k2", build_starlike((2, 2, 1)), 2),
         ("starlike-4-4-2-2-3-k2", build_starlike((4, 4, 2, 2, 3)), 2),
@@ -545,8 +545,6 @@ def odd_branch_experiment(max_n: int = 40) -> CheckReport:
     """Probe sigma = n/2 on starlike trees whose odd branch breaks the < n/2
     bound (beyond proven territory); observations only, the report always
     passes."""
-    from .construct import spider
-
     observations = []
     holds = 0
     for n in range(6, max_n + 1, 2):
@@ -556,7 +554,7 @@ def odd_branch_experiment(max_n: int = 40) -> CheckReport:
                 continue
             branches = (k, k, odd)
             g = spider(branches)
-            g2 = insert_cross_edges(as_mirror(g, k), unit_vector(k))
+            g2 = g.add_edges([cross_edge(branches, k)])
             s_tree = sigma_graph(g)
             s_uni = sigma_graph(g2)
             match = s_tree == s_uni == n // 2
@@ -583,12 +581,7 @@ def laplacian_charpoly(g: Graph) -> tuple[int, ...]:
     Faddeev-LeVerrier recurrence; every division along the way is exact.
     Secondary oracle for cospectrality on small graphs."""
     n = g.n
-    a = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        a[u - 1][v - 1] -= 1
-        a[v - 1][u - 1] -= 1
-        a[u - 1][u - 1] += 1
-        a[v - 1][v - 1] += 1
+    a = laplacian(g).astype(int).tolist()
     coeffs = [1]
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for step in range(1, n + 1):

@@ -24,6 +24,7 @@ from .construct import (
 )
 from .graphs import (
     Graph,
+    check_order,
     classify,
     cycle,
     format_dot,
@@ -43,17 +44,12 @@ def _outdir() -> str:
 def parse_graph_arg(text: str) -> Graph:
     """Graph shorthand: path:k, cycle:k, star:k, file:PATH, or a bare file path."""
     kind, sep, arg = text.partition(":")
-    if sep:
-        if kind == "path":
-            return path(int(arg))
-        if kind == "cycle":
-            return cycle(int(arg))
-        if kind == "star":
-            return star(int(arg))
-        if kind == "file":
-            return load_graph(arg)
+    if not sep or kind == "file":
+        return load_graph(arg if sep else text)
+    build = {"path": path, "cycle": cycle, "star": star}.get(kind)
+    if build is None:
         raise ValueError(f"unknown graph shorthand {kind!r} (use path:, cycle:, star:, file:)")
-    return load_graph(text)
+    return build(check_order(int(arg)))
 
 
 def parse_branches(text: str) -> tuple[int, ...]:

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import (
+    Edge,
     Graph,
     branch_paths,
     classify,
+    format_edge_list,
     is_starlike,
     path,
     unique_cycle_length,
@@ -178,6 +180,20 @@ def spider(branches: Sequence[int]) -> Graph:
     return Graph(1 + sum(lens), edges)
 
 
+def cross_edge(branches: Sequence[int], k: int) -> Edge:
+    """The edge joining the outer ends of the first two length-k branches of
+    spider(branches), from the lengths alone: branch j ends at vertex
+    1 + b_1 + ... + b_j."""
+    outer, end = [], 1
+    for b in map(int, branches):
+        end += b
+        if b == k:
+            outer.append(end)
+    if len(outer) < 2:
+        raise ValueError(f"need two branches of length {k}, found {len(outer)}")
+    return outer[0], outer[1]
+
+
 def build_starlike(spec: StarlikeSpec | Iterable[int]) -> Graph:
     """Build the starlike tree for a replacement-eligible branch profile."""
     if not isinstance(spec, StarlikeSpec):
@@ -272,13 +288,11 @@ def generate_family(
     ell: int, gamma: int = 1, placement: str | Sequence[int] = "even"
 ) -> list[Graph]:
     """The base starlike tree plus its ell unicyclic equal-energy companions,
-    the i-th obtained by a cross edge between the two length-2i branches."""
+    the i-th being the base tree, in its own labels, plus a cross edge
+    between the outer ends of the two length-2i branches."""
     spec = family_branches(ell, gamma, placement)
     base = build_starlike(spec)
-    members = []
-    for i in range(1, ell + 1):
-        dec = as_mirror(base, 2 * i)
-        members.append(insert_cross_edges(dec, unit_vector(2 * i)))
+    members = [base.add_edges([cross_edge(spec.branches, 2 * i)]) for i in range(1, ell + 1)]
     return [base] + members
 
 
@@ -286,8 +300,6 @@ def write_family(
     outdir: str, ell: int, gamma: int = 1, placement: str | Sequence[int] = "even"
 ) -> dict:
     """Write the family as edge-list files plus a manifest.json; returns the manifest."""
-    from .graphs import format_edge_list
-
     graphs = generate_family(ell, gamma, placement)
     spec = family_branches(ell, gamma, placement)
     os.makedirs(outdir, exist_ok=True)

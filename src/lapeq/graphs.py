@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -9,6 +11,17 @@ from typing import Iterable
 import numpy as np
 
 Edge = tuple[int, int]
+
+# Largest vertex count accepted from text input (edge-list headers, CLI
+# shorthands), checked before any edge is read or built.
+MAX_ORDER = 100_000
+
+
+def check_order(n: int) -> int:
+    """n itself, or ValueError when text input asks for more than MAX_ORDER vertices."""
+    if n > MAX_ORDER:
+        raise ValueError(f"graph order {n} exceeds the limit of {MAX_ORDER} vertices")
+    return n
 
 
 def _normalize_edge(u: int, v: int) -> Edge:
@@ -40,33 +53,32 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending neighbours of each vertex, indexed by label (entry 0 is
+        empty), built on first use; the sorted edges fill each list in order."""
+        adj: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(map(tuple, adj))
+
     def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in set(self.edges)
+        # a binary search of the sorted edges: one query builds no adjacency
+        e = _normalize_edge(u, v)
+        i = bisect.bisect_left(self.edges, e)
+        return i < len(self.edges) and self.edges[i] == e
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        out = [b if a == v else a for a, b in self.edges if v in (a, b)]
-        return tuple(sorted(out))
+        return self.adjacency[v]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def degrees(self) -> tuple[int, ...]:
-        d = [0] * (self.n + 1)
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return tuple(d[1:])
-
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for v in adj:
-            adj[v].sort()
-        return adj
+        return tuple(map(len, self.adjacency[1:]))
 
     def add_edges(self, new: Iterable[tuple[int, int]]) -> "Graph":
         return Graph(self.n, list(self.edges) + list(new))
@@ -97,11 +109,10 @@ def star(n: int) -> Graph:
 def laplacian(g: Graph) -> np.ndarray:
     """Degree matrix minus adjacency matrix, as a dense symmetric float array."""
     m = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        m[u - 1, v - 1] = -1.0
-        m[v - 1, u - 1] = -1.0
-        m[u - 1, u - 1] += 1.0
-        m[v - 1, v - 1] += 1.0
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2) - 1
+    m[ends[:, 0], ends[:, 1]] = -1.0
+    m[ends[:, 1], ends[:, 0]] = -1.0
+    np.fill_diagonal(m, np.bincount(ends.ravel(), minlength=g.n))
     return m
 
 
@@ -110,20 +121,20 @@ def average_degree(g: Graph) -> Fraction:
 
 
 def connected_components(g: Graph) -> list[set[int]]:
-    adj = g.adjacency()
-    unseen = set(range(1, g.n + 1))
+    adj = g.adjacency
+    seen: set[int] = set()
     parts: list[set[int]] = []
-    while unseen:
-        stack = [min(unseen)]
-        part: set[int] = set()
+    for start in range(1, g.n + 1):
+        if start in seen:
+            continue
+        part, stack = {start}, [start]
         while stack:
-            v = stack.pop()
-            if v in part:
-                continue
-            part.add(v)
-            stack.extend(w for w in adj[v] if w not in part)
+            for w in adj[stack.pop()]:
+                if w not in part:
+                    part.add(w)
+                    stack.append(w)
+        seen |= part
         parts.append(part)
-        unseen -= part
     return parts
 
 
@@ -152,8 +163,7 @@ def is_starlike(g: Graph) -> tuple[int, tuple[int, ...]] | None:
     """
     if classify(g) != "tree":
         return None
-    degs = g.degrees()
-    hubs = [v for v in range(1, g.n + 1) if degs[v - 1] >= 3]
+    hubs = [v for v in range(1, g.n + 1) if len(g.adjacency[v]) >= 3]
     if len(hubs) != 1:
         return None
     center = hubs[0]
@@ -167,7 +177,7 @@ def unique_cycle_length(g: Graph) -> int:
         raise ValueError("graph is not unicyclic")
     degs = list(g.degrees())
     alive = set(range(1, g.n + 1))
-    adj = g.adjacency()
+    adj = g.adjacency
     queue = [v for v in alive if degs[v - 1] == 1]
     while queue:
         v = queue.pop()
@@ -186,7 +196,7 @@ def branch_paths(g: Graph, center: int) -> list[list[int]]:
     Only valid when every component of g - center is a path attached to center
     at one end; raises otherwise.
     """
-    adj = g.adjacency()
+    adj = g.adjacency
     out: list[list[int]] = []
     for first in adj[center]:
         seq = [first]
@@ -221,6 +231,7 @@ def parse_edge_list(text: str) -> Graph:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"first line must be the vertex count, got {lines[0]!r}")
+    check_order(n)
     edges = []
     for ln in lines[1:]:
         parts = ln.split()

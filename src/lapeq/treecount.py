@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, average_degree, classify, is_connected
+from .graphs import Graph, average_degree, is_connected
 from .spectra import laplacian_spectrum, sigma_count
 
 
@@ -43,14 +43,12 @@ def _as_exact(alpha) -> Fraction:
 
 def jt_locate(g: Graph, alpha, root: int = 1) -> JTResult:
     """Count Laplacian eigenvalues of a tree above / at / below a rational alpha."""
-    if classify(g) != "tree":
-        raise ValueError("input graph is not a tree")
     if not 1 <= root <= g.n:
         raise ValueError(f"root {root} out of range 1..{g.n}")
-    shift = _as_exact(alpha)
 
-    adj = g.adjacency()
+    adj = g.adjacency
     parent: dict[int, int] = {root: 0}
+    children: list[list[int]] = [[] for _ in range(g.n + 1)]
     order: list[int] = []
     stack = [root]
     while stack:
@@ -59,11 +57,12 @@ def jt_locate(g: Graph, alpha, root: int = 1) -> JTResult:
         for w in adj[v]:
             if w not in parent:
                 parent[w] = v
+                children[v].append(w)
                 stack.append(w)
-    children: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    for v, p in parent.items():
-        if p:
-            children[p].append(v)
+    # connected with n - 1 edges: the walk from the root decides "tree"
+    if len(order) != g.n or g.num_edges != g.n - 1:
+        raise ValueError("input graph is not a tree")
+    shift = _as_exact(alpha)
 
     a = {v: Fraction(len(adj[v])) - shift for v in range(1, g.n + 1)}
     detached: set[int] = set()

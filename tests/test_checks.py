@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import lapeq.checks
+import lapeq.construct
+import lapeq.graphs
 import lapeq.spectra
 from lapeq.checks import (
     CheckReport,
@@ -165,6 +167,27 @@ def test_each_spectrum_is_solved_once(solve_orders, capsys):
     for fmt in ("text", "json", "csv"):
         assert main(["spectrum", "cycle:9", "--format", fmt]) == 0
     assert solve_orders == [9] * 3
+
+
+def test_companions_skip_the_mirror_round_trip(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("companions are built from branch lengths alone")
+
+    for module, name in [
+        (lapeq.construct, "as_mirror"),
+        (lapeq.checks, "as_mirror"),
+        (lapeq.construct, "is_starlike"),
+        (lapeq.construct, "branch_paths"),
+        (lapeq.graphs, "is_starlike"),
+        (lapeq.graphs, "branch_paths"),
+        (Graph, "relabel"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    assert check_family(3, 1).ok
+    assert check_energy_equality((4, 4, 2, 2, 3), 2).ok
+    assert check_sigma((4, 4, 2, 2, 3), 2).ok
+    rep = odd_branch_experiment(12)
+    assert rep.ok and rep.evidence["instances"] > 0
 
 
 def test_energy_check_rejects_odd_k():

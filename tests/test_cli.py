@@ -1,11 +1,15 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import lapeq.cli
+import lapeq.graphs
 from lapeq.cli import (
     main,
     parse_alpha,
@@ -40,6 +44,21 @@ def test_parse_graph_arg_shorthands(tmp_path):
     assert parse_graph_arg(str(p)) == path(3)
     with pytest.raises(ValueError):
         parse_graph_arg("torus:3")
+
+
+def test_order_cap_checked_before_a_graph_is_built(monkeypatch, capsys):
+    monkeypatch.setattr(lapeq.graphs, "MAX_ORDER", 5)
+    assert main(["spectrum", "path:5", "--format", "csv"]) == 0
+
+    def refuse(n):
+        raise AssertionError("no edge list is built past the cap")
+
+    for kind in ("path", "cycle", "star"):
+        monkeypatch.setattr(lapeq.cli, kind, refuse)
+        with pytest.raises(ValueError, match="exceeds the limit of 5"):
+            parse_graph_arg(f"{kind}:6")
+        assert main(["spectrum", f"{kind}:6"]) == 2
+    assert "exceeds the limit of 5" in capsys.readouterr().err
 
 
 def test_parse_branches():
@@ -286,6 +305,19 @@ def test_unknown_claim_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "entropy"])
     assert exc.value.code == 2
+
+
+def test_module_entry_point():
+    # `python -m lapeq.cli` from a checkout, with src on the module path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "lapeq.cli", "spectrum", "path:2", "--format", "csv"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "index,eigenvalue" and len(lines) == 3
+    assert [float(ln.split(",")[1]) for ln in lines[1:]] == pytest.approx([2.0, 0.0], abs=1e-12)
 
 
 def test_console_script_installed():

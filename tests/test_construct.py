@@ -9,6 +9,7 @@ from lapeq.construct import (
     as_mirror,
     build_mirror,
     build_starlike,
+    cross_edge,
     family_branches,
     generate_family,
     insert_cross_edges,
@@ -263,6 +264,31 @@ def test_generate_family_larger_cycles():
     fam = generate_family(4, 2)
     assert [unique_cycle_length(g) for g in fam[1:]] == [5, 9, 13, 17]
     assert all(g.n == 44 for g in fam)
+
+
+@pytest.mark.parametrize("cell", [(2, 1), (2, 2, "odd"), (3, 1)])
+def test_family_members_match_the_mirror_construction(cell):
+    from lapeq.checks import laplacian_charpoly
+
+    base, *members = generate_family(*cell)
+    leaves = {v for v, d in enumerate(base.degrees(), start=1) if d == 1}
+    for i, member in enumerate(members, start=1):
+        # same graph up to labels as the cross edge inserted into the mirror view
+        mirrored = insert_cross_edges(as_mirror(base, 2 * i), unit_vector(2 * i))
+        assert laplacian_charpoly(member) == laplacian_charpoly(mirrored)
+        # in the base tree's labels: one new edge, joining two of its leaves
+        [(u, v)] = set(member.edges) - set(base.edges)
+        assert set(base.edges) <= set(member.edges)
+        assert member.num_edges == base.num_edges + 1
+        assert {u, v} <= leaves
+
+
+def test_cross_edge_from_branch_lengths():
+    # spider((2, 2, 1)): branches 2-3, 4-5 and 6 off the center 1
+    assert cross_edge((2, 2, 1), 2) == (3, 5)
+    assert cross_edge((4, 2, 4, 2, 3), 2) == (7, 13)
+    with pytest.raises(ValueError, match="need two branches of length 3"):
+        cross_edge((2, 2, 3), 3)
 
 
 def test_write_family(tmp_path):

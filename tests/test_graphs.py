@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
+import lapeq.graphs
 from lapeq.graphs import (
     Graph,
     average_degree,
@@ -209,3 +210,48 @@ def test_graph_edge_invariants(edges):
     assert list(g.edges) == sorted(g.edges)
     assert laplacian(g).trace() == 2 * g.num_edges
     assert sum(g.degrees()) == 2 * g.num_edges
+
+    # every adjacency query against a reference built here from the edge list
+    pairs = {frozenset(e) for e in edges}
+    ref = np.zeros((9, 9))
+    for v in range(1, 10):
+        nbrs = tuple(sorted(w for w in range(1, 10) if frozenset((v, w)) in pairs))
+        assert g.neighbors(v) == nbrs
+        assert g.degree(v) == g.degrees()[v - 1] == len(nbrs)
+        ref[v - 1, v - 1] = len(nbrs)
+        for w in range(1, 10):
+            if w != v:
+                assert g.has_edge(v, w) == (frozenset((v, w)) in pairs)
+                ref[v - 1, w - 1] = -float(w in nbrs)
+    assert np.array_equal(laplacian(g), ref)
+    assert not g.has_edge(1, 10) and not g.has_edge(0, 1)
+
+    # components against a union-find over the same edge list
+    root = list(range(10))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        root[find(u)] = find(v)
+    parts = connected_components(g)
+    assert sorted(map(sorted, parts)) == sorted(
+        sorted(w for w in range(1, 10) if find(w) == r) for r in {find(v) for v in range(1, 10)}
+    )
+
+    # the cached adjacency is built once and cannot be changed through the graph
+    assert g.adjacency is g.adjacency
+    with pytest.raises(TypeError):
+        g.adjacency[1] = ()
+    with pytest.raises(AttributeError):
+        g.adjacency = ()
+    assert g == Graph(9, edges) and hash(g) == hash(Graph(9, edges))
+
+
+def test_order_cap_checked_before_edges_are_read(monkeypatch):
+    monkeypatch.setattr(lapeq.graphs, "MAX_ORDER", 5)
+    assert parse_edge_list("5\n1 2\n") == Graph(5, [(1, 2)])
+    with pytest.raises(ValueError, match="exceeds the limit of 5"):
+        parse_edge_list("6\n1 2 3\n")  # the malformed edge line is never reached

@@ -85,6 +85,10 @@ def test_input_validation():
         jt_locate(cycle(4), 1)
     with pytest.raises(ValueError):
         jt_locate(Graph(4, [(1, 2), (3, 4)]), 1)
+    triangle_and_isolated = Graph(4, [(1, 2), (1, 3), (2, 3)])  # n - 1 edges, disconnected
+    for root in (1, 4):
+        with pytest.raises(ValueError, match="not a tree"):
+            jt_locate(triangle_and_isolated, 1, root=root)
     with pytest.raises(ValueError):
         jt_locate(path(3), 1, root=4)
 
@@ -121,7 +125,7 @@ def test_sigma_graph_walks_components_once(monkeypatch):
     monkeypatch.setattr(lapeq.graphs, "connected_components", counted)
     tree = build_starlike((4, 4, 2, 2, 3))
     assert sigma_graph(tree) == 8
-    assert walks == [16, 16]  # the connectivity check, then jt_locate's own
+    assert walks == [16]  # the connectivity check; jt_locate's own rooting walk decides "tree"
     walks.clear()
     assert sigma_graph(cycle(5)) == 2
     assert walks == [5]
