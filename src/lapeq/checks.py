@@ -10,8 +10,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -28,7 +30,7 @@ from .construct import (
     spider,
     unit_vector,
 )
-from .graphs import Graph, connected_components, cycle, laplacian, path
+from .graphs import Graph, connected_components, cycle, path
 from .spectra import (
     SigmaMismatchError,
     Spectrum,
@@ -576,26 +578,40 @@ def odd_branch_experiment(max_n: int = 40) -> CheckReport:
     return CheckReport("odd-branch-experiment", True, None, evidence)
 
 
+def _berkowitz(diagonal: Sequence[int], adjacency: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Coefficients (leading first) of det(xI - M) as exact integers, for the
+    symmetric M with M[v][v] = diagonal[v - 1] and M[u][v] = -1 wherever u and
+    v are neighbours in the 1-based adjacency (entry 0 empty, neighbours
+    ascending, as Graph.adjacency).
+
+    Division-free Berkowitz over the leading principal blocks on 1..r: with
+    A the block on 1..r-1 and C its column to r, chi_r is the Toeplitz
+    product of (1, -M[r][r], -C.C, -C.AC, ..., -C.A^(r-2)C) with chi_(r-1).
+    Each block keeps the full diagonal, and by symmetry C.A^(2j)C = w.w and
+    C.A^(2j+1)C = w.Aw with w = A^j C, so step r takes about r/2 sparse
+    products."""
+    d = (0, *diagonal)
+    poly = [1]
+    for r in range(1, len(d)):
+        nbrs = [a[:bisect_left(a, r)] for a in adjacency[:r]]
+        w = [0] * r  # A^j C on 1..r-1; slot 0 stays 0
+        for u in adjacency[r][:bisect_left(adjacency[r], r)]:
+            w[u] = -1
+        col = [1, -d[r]]
+        for _ in range(r // 2):
+            aw = [dv * x - sum(map(w.__getitem__, nb)) for dv, x, nb in zip(d, w, nbrs)]
+            col += (-sum(map(mul, w, w)), -sum(map(mul, w, aw)))
+            w = aw
+        col = col[r::-1]
+        poly = [sum(map(mul, col[r - k:], poly)) for k in range(r + 1)]
+    return tuple(poly)
+
+
 def laplacian_charpoly(g: Graph) -> tuple[int, ...]:
-    """Coefficients (leading first) of det(xI - L) as exact integers, via the
-    Faddeev-LeVerrier recurrence; every division along the way is exact.
-    Secondary oracle for cospectrality on small graphs."""
-    n = g.n
-    a = laplacian(g).astype(int).tolist()
-    coeffs = [1]
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for step in range(1, n + 1):
-        am = [
-            [sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        tr = sum(am[i][i] for i in range(n))
-        c, rem = divmod(-tr, step)
-        if rem:
-            raise AssertionError("characteristic polynomial coefficients must be integers")
-        coeffs.append(c)
-        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return tuple(coeffs)
+    """Coefficients (leading first) of det(xI - L) as exact integers, by
+    division-free Berkowitz on the sparse Laplacian; the tolerance-free
+    oracle for cospectrality."""
+    return _berkowitz(g.degrees(), g.adjacency)
 
 
 _BUDGETS = {

@@ -1,8 +1,10 @@
 import json
 import random
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lapeq.checks
 import lapeq.construct
@@ -10,6 +12,7 @@ import lapeq.graphs
 import lapeq.spectra
 from lapeq.checks import (
     CheckReport,
+    _berkowitz,
     check_energy_equality,
     check_family,
     check_path_replacement,
@@ -39,6 +42,7 @@ from lapeq.construct import (
     build_starlike,
     family_branches,
     generate_family,
+    insert_cross_edges,
     unit_vector,
 )
 from lapeq.graphs import Graph, classify, cycle, path
@@ -434,6 +438,127 @@ def test_family_members_distinct_by_exact_charpoly():
     for i in range(1, len(fam)):
         for j in range(i + 1, len(fam)):
             assert (polys[i] == polys[j]) == cospectral(specs[i], specs[j])
+
+
+def _det(rows):
+    """Exact integer determinant by Bareiss elimination with row swaps."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def _char_value(g, x):
+    """det(xI - L) from the edge list, with no use of Graph.adjacency."""
+    rows = [[x if i == j else 0 for j in range(g.n)] for i in range(g.n)]
+    for u, v in g.edges:
+        rows[u - 1][u - 1] -= 1
+        rows[v - 1][v - 1] -= 1
+        rows[u - 1][v - 1] = rows[v - 1][u - 1] = 1
+    return _det(rows)
+
+
+def _evaluate(coeffs, x):
+    value = 0
+    for c in coeffs:
+        value = value * x + c
+    return value
+
+
+def _assert_exact_charpoly(g):
+    coeffs = laplacian_charpoly(g)
+    # monic of degree n and equal to det(xI - L) at n points: the same polynomial
+    assert len(coeffs) == g.n + 1 and coeffs[0] == 1
+    for x in range(g.n):
+        assert _evaluate(coeffs, x) == _char_value(g, x), x
+
+
+small_graphs = st.integers(1, 12).flatmap(
+    lambda n: st.lists(
+        st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
+    ).map(
+        lambda bits: Graph(
+            n, [e for e, b in zip(combinations(range(1, n + 1), 2), bits) if b]
+        )
+    )
+)
+
+
+@settings(deadline=None)
+@given(g=small_graphs)
+def test_charpoly_equals_exact_determinant(g):
+    _assert_exact_charpoly(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(1),
+        Graph(7, [(1, 3), (3, 6), (6, 7)]),  # 2, 4 and 5 isolated
+        Graph(6, list(combinations(range(1, 7), 2))),  # K6
+        build_starlike((4, 4, 2, 2, 3)).relabel(
+            dict(zip(range(1, 17), random.Random(5).sample(range(1, 17), 16)))
+        ),
+    ],
+    ids=["single-vertex", "isolated-vertices", "K6", "relabelled-starlike"],
+)
+def test_charpoly_equals_exact_determinant_on_fixed_graphs(g):
+    _assert_exact_charpoly(g)
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _core_charpoly(dec, cross):
+    """chi of H + 2Z, with H = L(core) + diag(link) and Z = diag(cross)."""
+    diagonal = [
+        d + link + 2 * c for d, link, c in zip(dec.core.degrees(), dec.link, cross)
+    ]
+    return _berkowitz(diagonal, dec.core.adjacency)
+
+
+def test_replacement_identity_holds_exactly():
+    crossed = 0
+    for seed in range(30):
+        dec, cross = random_mirror(random.Random(seed))
+        crossed += any(cross)
+        g2 = insert_cross_edges(dec, cross)
+        left = _poly_mul(laplacian_charpoly(g2), _core_charpoly(dec, [0] * dec.k))
+        assert left == _poly_mul(laplacian_charpoly(dec.graph), _core_charpoly(dec, cross)), seed
+        # one cross bit flipped on the right-hand side only: the trace of H + 2Z
+        # moves by 2, so the identity must break
+        flipped = (1 - cross[0], *cross[1:])
+        assert left != _poly_mul(laplacian_charpoly(dec.graph), _core_charpoly(dec, flipped)), seed
+    assert crossed >= 20
+
+
+@pytest.mark.parametrize("ell, gamma", product(range(2, 6), range(1, 4)))
+def test_family_charpoly_at_paper_scale(ell, gamma):
+    fam = generate_family(ell, gamma)
+    polys = [laplacian_charpoly(g) for g in fam]
+    assert len(set(polys)) == len(polys)  # base and members pairwise distinct
+    n = fam[0].n
+    for i, coeffs in enumerate(polys):
+        # matrix-tree theorem: the x coefficient is (-1)^(n-1) n tau, with tau = 1
+        # for the base tree and 4i + 1, the length of the cycle, for member i
+        tau = 4 * i + 1 if i else 1
+        assert coeffs[-2] == (-1) ** (n - 1) * n * tau
+        assert coeffs[-1] == 0
 
 
 # --- the whole battery -----------------------------------------------------------
