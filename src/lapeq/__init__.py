@@ -5,13 +5,13 @@ tridiagonal spectra, and exact eigenvalue counting on trees."""
 from .construct import (
     MirrorDecomposition,
     StarlikeSpec,
-    as_mirror,
     build_mirror,
     build_starlike,
     family_branches,
     generate_family,
     insert_cross_edges,
     spider,
+    starlike_mirror,
     unit_vector,
     write_family,
 )
@@ -24,7 +24,6 @@ from .graphs import (
     format_dot,
     format_edge_list,
     is_connected,
-    is_starlike,
     laplacian,
     load_graph,
     parse_edge_list,

@@ -21,13 +21,13 @@ import numpy as np
 from .construct import (
     MirrorDecomposition,
     StarlikeSpec,
-    as_mirror,
     build_mirror,
     build_starlike,
     cross_edge,
     generate_family,
     insert_cross_edges,
     spider,
+    starlike_mirror,
     unit_vector,
 )
 from .graphs import Graph, connected_components, cycle, path
@@ -141,21 +141,13 @@ def check_spectral_replacement(
     return _replacement_report("replacement", dec, cross_v, removed, added, tol, evidence)
 
 
-def check_path_replacement(
-    target: Graph | MirrorDecomposition, k: int | None = None, tol: float = 1e-8
-) -> CheckReport:
+def check_path_replacement(dec: MirrorDecomposition, tol: float = 1e-8) -> CheckReport:
     """Same replacement identity, path core linked at its far end, single
     cross edge between the outer ends: the closed-form cosine multisets are
     exactly what leaves and enters the spectrum."""
-    if isinstance(target, MirrorDecomposition):
-        dec = target
-        k = dec.k
-        if dec.core != path(k) or dec.link != unit_vector(k, k):
-            raise ValueError("decomposition must be a path core linked at vertex k")
-    else:
-        if k is None:
-            raise ValueError("k is required when passing a bare graph")
-        dec = as_mirror(target, k)
+    k = dec.k
+    if dec.core != path(k) or dec.link != unit_vector(k, k):
+        raise ValueError("decomposition must be a path core linked at vertex k")
     removed, added = replacement_spectra(k)
     return _replacement_report("path-replacement", dec, unit_vector(k), removed, added, tol, {})
 
@@ -375,18 +367,15 @@ def path_replacement_examples(tol: float = 1e-8) -> CheckReport:
     """Fixed path-core instances: the smallest starlike member, one tree
     viewed two ways over its repeated branch lengths, an odd path core, and a
     cycle host (the wider class: any host, path core linked at its far end)."""
-    instances: list[tuple[str, Graph | MirrorDecomposition, int | None]] = [
-        ("starlike-2-2-1-k2", build_starlike((2, 2, 1)), 2),
-        ("starlike-4-4-2-2-3-k2", build_starlike((4, 4, 2, 2, 3)), 2),
-        ("starlike-4-4-2-2-3-k4", build_starlike((4, 4, 2, 2, 3)), 4),
-        ("spider-3-3-2-k3", spider((3, 3, 2)), 3),
-        ("cycle-host-k3", build_mirror(path(3), cycle(5), 1, unit_vector(3, 3)), None),
-        ("cycle-host-k1", build_mirror(path(1), cycle(5), 2, unit_vector(1, 1)), None),
+    instances = [
+        ("starlike-2-2-1-k2", starlike_mirror((2, 2, 1), 2)),
+        ("starlike-4-4-2-2-3-k2", starlike_mirror((2, 2, 4, 4, 3), 2)),
+        ("starlike-4-4-2-2-3-k4", starlike_mirror((2, 2, 4, 4, 3), 4)),
+        ("spider-3-3-2-k3", starlike_mirror((3, 3, 2), 3)),
+        ("cycle-host-k3", build_mirror(path(3), cycle(5), 1, unit_vector(3, 3))),
+        ("cycle-host-k1", build_mirror(path(1), cycle(5), 2, unit_vector(1, 1))),
     ]
-    cases = (
-        (check_path_replacement(target, k, tol), {"instance": name})
-        for name, target, k in instances
-    )
+    cases = ((check_path_replacement(dec, tol), {"instance": name}) for name, dec in instances)
     return _details("path-replacement", tol, cases, "residual")
 
 

@@ -19,7 +19,7 @@ from .construct import (
     build_mirror,
     build_starlike,
     insert_cross_edges,
-    spider,
+    starlike_mirror,
     write_family,
 )
 from .graphs import (
@@ -197,7 +197,7 @@ _VERIFY = {
         )
     ],
     "path-replacement": lambda a: [
-        checks.check_path_replacement(spider(parse_branches(a.branches)), a.k, a.tol)
+        checks.check_path_replacement(starlike_mirror(parse_branches(a.branches), a.k), a.tol)
         if a.branches
         else checks.path_replacement_examples(a.tol)
     ],

@@ -13,16 +13,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import (
-    Edge,
-    Graph,
-    branch_paths,
-    classify,
-    format_edge_list,
-    is_starlike,
-    path,
-    unique_cycle_length,
-)
+from .graphs import Edge, Graph, classify, path, save_graph, unique_cycle_length
 
 BinaryVector = tuple[int, ...]
 
@@ -201,51 +192,24 @@ def build_starlike(spec: StarlikeSpec | Iterable[int]) -> Graph:
     return spider(spec.branches)
 
 
-def as_mirror(g: Graph, k: int) -> MirrorDecomposition:
-    """View a starlike tree as a mirror decomposition over two of its
-    length-k branches: core = path on k vertices linked at its far end,
-    host = the tree minus those two branches, rooted at the center.
+def starlike_mirror(branches: Sequence[int], k: int) -> MirrorDecomposition:
+    """spider(branches) as a mirror decomposition over its first two length-k
+    branches: core = path on k vertices linked at its far end, host = the
+    spider of the other branches, rooted at its center.
 
     Works for any k with two branches of that length; the equal-energy
     results additionally need k even.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    shape = is_starlike(g)
-    if shape is None:
-        raise ValueError("graph is not a starlike tree")
-    center, _ = shape
-    paths = branch_paths(g, center)
-    matching = [seq for seq in paths if len(seq) == k]
-    if len(matching) < 2:
-        raise ValueError(f"need two branches of length {k}, found {len(matching)}")
-    first, second = matching[0], matching[1]
-
-    mapping: dict[int, int] = {}
-    for new, old in enumerate(reversed(first), start=1):
-        mapping[old] = new
-    for new, old in enumerate(reversed(second), start=k + 1):
-        mapping[old] = new
-    mapping[center] = 2 * k + 1
-    rest = sorted(v for v in range(1, g.n + 1) if v not in mapping)
-    for offset, old in enumerate(rest):
-        mapping[old] = 2 * k + 2 + offset
-
-    hostmap = {center: 1}
-    for offset, old in enumerate(rest):
-        hostmap[old] = 2 + offset
-    host_vertices = set(hostmap)
-    host_edges = [
-        (hostmap[u], hostmap[v])
-        for u, v in g.edges
-        if u in host_vertices and v in host_vertices
-    ]
-    host = Graph(len(host_vertices), host_edges)
-
-    dec = build_mirror(path(k), host, root=1, link=unit_vector(k, k))
-    if dec.graph != g.relabel(mapping):
-        raise AssertionError("mirror reassembly does not reproduce the input tree")
-    return dec
+    rest = [int(b) for b in branches]
+    if len(rest) < 3:
+        raise ValueError(f"need at least 3 branches, got {len(rest)}")
+    if rest.count(k) < 2:
+        raise ValueError(f"need two branches of length {k}, found {rest.count(k)}")
+    rest.remove(k)
+    rest.remove(k)
+    return build_mirror(path(k), spider(rest), 1, unit_vector(k, k))
 
 
 # --- equal-energy families ------------------------------------------------------
@@ -306,8 +270,7 @@ def write_family(
     entries = []
     names = ["base_tree.edges"] + [f"unicyclic_{i}.edges" for i in range(1, ell + 1)]
     for i, (name, g) in enumerate(zip(names, graphs)):
-        with open(os.path.join(outdir, name), "w") as fh:
-            fh.write(format_edge_list(g))
+        save_graph(g, os.path.join(outdir, name))
         entry = {
             "file": name,
             "kind": classify(g),

@@ -155,22 +155,6 @@ def classify(g: Graph) -> str:
     return "other"
 
 
-def is_starlike(g: Graph) -> tuple[int, tuple[int, ...]] | None:
-    """Detect a starlike tree: a tree with exactly one vertex of degree >= 3.
-
-    Returns (center, branch lengths sorted ascending), or None when the graph
-    is not a tree or has no unique high-degree vertex.
-    """
-    if classify(g) != "tree":
-        return None
-    hubs = [v for v in range(1, g.n + 1) if len(g.adjacency[v]) >= 3]
-    if len(hubs) != 1:
-        return None
-    center = hubs[0]
-    lengths = sorted(len(seq) for seq in branch_paths(g, center))
-    return center, tuple(lengths)
-
-
 def unique_cycle_length(g: Graph) -> int:
     """Length of the single cycle of a unicyclic graph (strip leaves until none remain)."""
     if classify(g) != "unicyclic":
@@ -188,29 +172,6 @@ def unique_cycle_length(g: Graph) -> int:
                 if degs[w - 1] == 1:
                     queue.append(w)
     return len(alive)
-
-
-def branch_paths(g: Graph, center: int) -> list[list[int]]:
-    """Vertex sequences of the paths hanging off center, each listed center-outward.
-
-    Only valid when every component of g - center is a path attached to center
-    at one end; raises otherwise.
-    """
-    adj = g.adjacency
-    out: list[list[int]] = []
-    for first in adj[center]:
-        seq = [first]
-        prev, cur = center, first
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1 or cur == center:
-                raise ValueError(f"branch through vertex {first} is not a path")
-            prev, cur = cur, nxt[0]
-            seq.append(cur)
-        out.append(seq)
-    return out
 
 
 # --- plain-text formats ---------------------------------------------------

@@ -12,12 +12,15 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .graphs import Graph, average_degree, laplacian
+
+# Absolute tolerance of eigenvalue comparisons when the caller names none.
+SPECTRUM_TOL = 1e-9
 
 
 class SpectrumMatchError(ValueError):
@@ -30,17 +33,12 @@ class SigmaMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalue multiset, sorted descending, with an absolute matching tolerance."""
+    """Real eigenvalue multiset, sorted descending."""
 
     values: tuple[float, ...]
-    tol: float = field(default=1e-9, compare=False)
 
-    def __init__(self, values: Iterable[float], tol: float = 1e-9):
-        vals = tuple(sorted((float(v) for v in values), reverse=True))
-        if tol <= 0:
-            raise ValueError(f"tolerance must be positive, got {tol}")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "tol", tol)
+    def __init__(self, values: Iterable[float]):
+        object.__setattr__(self, "values", tuple(sorted((float(v) for v in values), reverse=True)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -57,17 +55,8 @@ class Spectrum:
     def rounded(self, ndigits: int = 5) -> tuple[float, ...]:
         return tuple(round(v, ndigits) for v in self.values)
 
-    def multiplicity(self, x: float, tol: float | None = None) -> int:
-        t = self.tol if tol is None else tol
-        return sum(1 for v in self.values if abs(v - x) <= t)
-
-    def count_at_least(self, x: float, tol: float | None = None) -> int:
-        """Number of values >= x, where anything within tol below x still counts."""
-        t = self.tol if tol is None else tol
-        return sum(1 for v in self.values if v >= x - t)
-
-    def with_tol(self, tol: float) -> "Spectrum":
-        return Spectrum(self.values, tol)
+    def multiplicity(self, x: float, tol: float = SPECTRUM_TOL) -> int:
+        return sum(1 for v in self.values if abs(v - x) <= tol)
 
     def to_json(self) -> str:
         return json.dumps(list(self.values))
@@ -98,13 +87,13 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def sym_eigenvalues(m: np.ndarray, tol: float = 1e-9) -> Spectrum:
+def sym_eigenvalues(m: np.ndarray) -> Spectrum:
     """All eigenvalues of a symmetric matrix, via LAPACK's syevd (eigvalsh)."""
-    return Spectrum(np.linalg.eigvalsh(_check_symmetric(m)), tol)
+    return Spectrum(np.linalg.eigvalsh(_check_symmetric(m)))
 
 
-def laplacian_spectrum(g: Graph, tol: float = 1e-9) -> Spectrum:
-    return sym_eigenvalues(laplacian(g), tol)
+def laplacian_spectrum(g: Graph) -> Spectrum:
+    return sym_eigenvalues(laplacian(g))
 
 
 def _spectrum_of(g: Graph, spectrum: Spectrum | None) -> Spectrum:
@@ -123,9 +112,9 @@ def laplacian_energy(g: Graph, spectrum: Spectrum | None = None) -> float:
     return math.fsum(abs(v - dbar) for v in _spectrum_of(g, spectrum))
 
 
-def sigma_count(spectrum: Spectrum, dbar: float, tol: float = 1e-9) -> int:
+def sigma_count(spectrum: Spectrum, dbar: float, tol: float = SPECTRUM_TOL) -> int:
     """Number of eigenvalues >= dbar, counting anything within tol below it."""
-    return spectrum.count_at_least(dbar, tol)
+    return sum(1 for v in spectrum if v >= dbar - tol)
 
 
 def energy_report(g: Graph, spectrum: Spectrum | None = None) -> dict:
@@ -211,7 +200,7 @@ def linked_core_matrix(core: Graph, link: Sequence[int]) -> np.ndarray:
 # --- tolerance-aware multiset algebra ----------------------------------------
 
 
-def multiset_remove(s: Spectrum, d: Spectrum, tol: float | None = None) -> Spectrum:
+def multiset_remove(s: Spectrum, d: Spectrum, tol: float = SPECTRUM_TOL) -> Spectrum:
     """Remove one occurrence per element of d from s; raises
     SpectrumMatchError if no one-to-one matching pairs every element of d
     with an element of s within tolerance.
@@ -221,37 +210,35 @@ def multiset_remove(s: Spectrum, d: Spectrum, tol: float | None = None) -> Spect
     match any later (larger) x, so the walk finds a matching whenever one
     exists, in O(len(s) + len(d)).
     """
-    t = s.tol if tol is None else tol
     src = s.values[::-1]
     remaining = []
     j = 0
     for x in reversed(d.values):
-        while j < len(src) and x - src[j] > t:
+        while j < len(src) and x - src[j] > tol:
             remaining.append(src[j])
             j += 1
-        if j == len(src) or src[j] - x > t:
-            raise SpectrumMatchError(f"no match for {x!r} within {t:g}")
+        if j == len(src) or src[j] - x > tol:
+            raise SpectrumMatchError(f"no match for {x!r} within {tol:g}")
         j += 1
     remaining.extend(src[j:])
-    return Spectrum(remaining, s.tol)
+    return Spectrum(remaining)
 
 
 def multiset_union(s: Spectrum, f: Spectrum) -> Spectrum:
-    return Spectrum(s.values + f.values, s.tol)
+    return Spectrum(s.values + f.values)
 
 
-def cospectral(s1: Spectrum, s2: Spectrum, tol: float | None = None) -> bool:
+def cospectral(s1: Spectrum, s2: Spectrum, tol: float = SPECTRUM_TOL) -> bool:
     """True iff the two multisets have equal size and match pairwise after sorting."""
-    t = max(s1.tol, s2.tol) if tol is None else tol
     if len(s1) != len(s2):
         return False
-    return all(abs(x - y) <= t for x, y in zip(s1.values, s2.values))
+    return all(abs(x - y) <= tol for x, y in zip(s1.values, s2.values))
 
 
 def delta_le(
     g: Graph,
     g2: Graph,
-    tol: float = 1e-9,
+    tol: float = SPECTRUM_TOL,
     spectra: tuple[Spectrum, Spectrum] | None = None,
 ) -> float:
     """Laplacian-energy difference LE(g2) - LE(g) via the partial-sum formula

@@ -43,6 +43,7 @@ from lapeq.construct import (
     family_branches,
     generate_family,
     insert_cross_edges,
+    starlike_mirror,
     unit_vector,
 )
 from lapeq.graphs import Graph, classify, cycle, path
@@ -107,7 +108,7 @@ def test_replacement_check_reports_failure_without_raising():
 
 
 def test_path_replacement_check():
-    rep = check_path_replacement(build_starlike((2, 2, 1)), 2)
+    rep = check_path_replacement(starlike_mirror((2, 2, 1), 2))
     assert rep.ok
     assert rep.claim == "path-replacement"
     assert np.allclose(rep.evidence["removed"], (2.618034, 0.381966), atol=1e-6)
@@ -122,8 +123,6 @@ def test_path_replacement_accepts_decomposition():
 
 
 def test_path_replacement_validation():
-    with pytest.raises(ValueError):
-        check_path_replacement(build_starlike((2, 2, 1)))  # bare graph needs k
     with pytest.raises(ValueError):
         check_path_replacement(build_mirror(cycle(3), path(2), 1, (1, 1, 1)))
     with pytest.raises(ValueError):
@@ -178,12 +177,8 @@ def test_companions_skip_the_mirror_round_trip(monkeypatch):
         raise AssertionError("companions are built from branch lengths alone")
 
     for module, name in [
-        (lapeq.construct, "as_mirror"),
-        (lapeq.checks, "as_mirror"),
-        (lapeq.construct, "is_starlike"),
-        (lapeq.construct, "branch_paths"),
-        (lapeq.graphs, "is_starlike"),
-        (lapeq.graphs, "branch_paths"),
+        (lapeq.construct, "starlike_mirror"),
+        (lapeq.checks, "starlike_mirror"),
         (Graph, "relabel"),
     ]:
         monkeypatch.setattr(module, name, refuse)
@@ -387,7 +382,7 @@ def test_evidence_keys_are_stable():
     named = {"n", "k", "branches"}
     single = [
         (check_spectral_replacement(example_dec(), (1, 1, 1)), replaced | {"link", "cross"}),
-        (check_path_replacement(build_starlike((2, 2, 1)), 2), replaced),
+        (check_path_replacement(starlike_mirror((2, 2, 1), 2)), replaced),
         (check_energy_equality((2, 2, 1), 2), named | {
             "le_tree", "le_unicyclic", "direct_diff", "formula_diff", "max_residual"}),
         (check_sigma((2, 2, 1), 2), named | {"sigma_tree", "sigma_unicyclic", "half_n"}),

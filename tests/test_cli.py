@@ -270,6 +270,23 @@ def test_successive_calls_do_not_share_options(tmp_path, capsys):
     assert (tmp_path / "verify_sigma.json").exists()
 
 
+def test_verify_path_replacement_single_instance(tmp_path, capsys):
+    assert main(["verify", "path-replacement", "--branches", "4,4,2,2,3", "--k", "2"]) == 0
+    [report] = json.loads((tmp_path / "verify_path-replacement.json").read_text())
+    assert report["status"] == "pass"
+    assert (report["evidence"]["n"], report["evidence"]["k"]) == (16, 2)
+
+
+@pytest.mark.parametrize(
+    "branches, k", [("2,2,1", "3"), ("3,3", "3"), ("3,3,2", "0")],
+    ids=["no-pair-of-length-k", "two-branches", "k-zero"],
+)
+def test_verify_path_replacement_rejects_bad_instances(branches, k, tmp_path, capsys):
+    assert main(["verify", "path-replacement", "--branches", branches, "--k", k]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "verify_path-replacement.json").exists()
+
+
 def test_verify_branches_requires_k(capsys):
     assert main(["verify", "energy", "--branches", "2,2,1"]) == 2
     assert "error:" in capsys.readouterr().err

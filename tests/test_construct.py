@@ -6,7 +6,6 @@ import pytest
 from lapeq.construct import (
     MirrorDecomposition,
     StarlikeSpec,
-    as_mirror,
     build_mirror,
     build_starlike,
     cross_edge,
@@ -14,6 +13,7 @@ from lapeq.construct import (
     generate_family,
     insert_cross_edges,
     spider,
+    starlike_mirror,
     unit_vector,
     write_family,
 )
@@ -21,13 +21,10 @@ from lapeq.graphs import (
     Graph,
     classify,
     cycle,
-    is_starlike,
     load_graph,
     path,
-    star,
     unique_cycle_length,
 )
-from lapeq.spectra import cospectral, laplacian_spectrum
 
 
 def test_unit_vector():
@@ -156,7 +153,6 @@ def test_spider_and_build_starlike_small():
     assert g.n == 6
     assert g.edges == ((1, 2), (1, 4), (1, 6), (2, 3), (4, 5))
     assert g.degree(1) == 3
-    assert is_starlike(g) == (1, (1, 2, 2))
     assert build_starlike(StarlikeSpec((2, 2, 1))) == g
 
 
@@ -164,9 +160,7 @@ def test_build_starlike_sixteen_vertices():
     g = build_starlike(StarlikeSpec((4, 4, 2, 2, 3)))
     assert g.n == 16
     assert classify(g) == "tree"
-    center, lengths = is_starlike(g)
-    assert lengths == (2, 2, 3, 4, 4)
-    assert g.degree(center) == 5
+    assert g.degree(1) == 5
 
 
 def test_build_starlike_forty_four_vertices():
@@ -175,42 +169,36 @@ def test_build_starlike_forty_four_vertices():
     assert sorted(g.degrees())[-1] == 10
 
 
-# --- viewing a starlike tree as a mirror pair ------------------------------------------
+# --- starlike trees as mirror decompositions ------------------------------------
 
 
-def test_as_mirror_shapes():
-    g = build_starlike(StarlikeSpec((4, 4, 2, 2, 3)))
-    dec = as_mirror(g, 4)
-    assert dec.core == path(4)
-    assert dec.link == unit_vector(4, 4)
-    assert dec.host.n == g.n - 8
-    assert dec.graph.n == g.n
-    # decomposition relabels but preserves the isomorphism type
+@pytest.mark.parametrize(
+    "branches, k",
+    [((2, 2, 1), 2), ((4, 2, 4, 2, 3), 2), ((3, 3, 2), 3), ((1, 1, 1), 1)],
+    ids=["2-2-1-k2", "4-2-4-2-3-k2", "3-3-2-k3", "1-1-1-k1"],
+)
+def test_starlike_mirror_is_the_spider(branches, k):
+    from lapeq.checks import laplacian_charpoly
+
+    dec = starlike_mirror(branches, k)
+    g = spider(branches)
+    assert laplacian_charpoly(dec.graph) == laplacian_charpoly(g)
     assert sorted(dec.graph.degrees()) == sorted(g.degrees())
-    assert cospectral(laplacian_spectrum(dec.graph), laplacian_spectrum(g), tol=1e-8)
+    assert dec.core == path(k)
+    assert dec.link == unit_vector(k, k)
 
 
-def test_as_mirror_host_is_smaller_starlike_tree():
-    g = build_starlike(StarlikeSpec((4, 4, 2, 2, 3)))
-    dec = as_mirror(g, 2)
-    assert classify(dec.host) == "tree"
-    assert is_starlike(dec.host) == (1, (3, 4, 4))
+def test_starlike_mirror_rejections():
+    with pytest.raises(ValueError, match="need at least 3 branches"):
+        starlike_mirror((3, 3), 3)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        starlike_mirror((3, 3, 2), 0)
+    with pytest.raises(ValueError, match="need two branches of length 3, found 0"):
+        starlike_mirror((2, 2, 1), 3)
 
 
-def test_as_mirror_errors():
-    with pytest.raises(ValueError):
-        as_mirror(cycle(5), 2)
-    with pytest.raises(ValueError):
-        as_mirror(build_starlike(StarlikeSpec((2, 2, 1))), 3)  # no pair of 3-branches
-    g = build_starlike(StarlikeSpec((4, 4, 2, 3)))  # single 2-branch
-    with pytest.raises(ValueError):
-        as_mirror(g, 2)
-
-
-def test_as_mirror_cross_edge_creates_cycle():
-    g = build_starlike(StarlikeSpec((2, 2, 1)))
-    dec = as_mirror(g, 2)
-    uni = insert_cross_edges(dec, unit_vector(2))
+def test_starlike_mirror_cross_edge_creates_cycle():
+    uni = insert_cross_edges(starlike_mirror((2, 2, 1), 2), unit_vector(2))
     assert classify(uni) == "unicyclic"
     assert unique_cycle_length(uni) == 5
 
@@ -270,11 +258,12 @@ def test_generate_family_larger_cycles():
 def test_family_members_match_the_mirror_construction(cell):
     from lapeq.checks import laplacian_charpoly
 
+    spec = family_branches(*cell)
     base, *members = generate_family(*cell)
     leaves = {v for v, d in enumerate(base.degrees(), start=1) if d == 1}
     for i, member in enumerate(members, start=1):
-        # same graph up to labels as the cross edge inserted into the mirror view
-        mirrored = insert_cross_edges(as_mirror(base, 2 * i), unit_vector(2 * i))
+        # same graph up to labels as the cross edge inserted into the mirror construction
+        mirrored = insert_cross_edges(starlike_mirror(spec.branches, 2 * i), unit_vector(2 * i))
         assert laplacian_charpoly(member) == laplacian_charpoly(mirrored)
         # in the base tree's labels: one new edge, joining two of its leaves
         [(u, v)] = set(member.edges) - set(base.edges)
@@ -331,6 +320,5 @@ def test_family_members_share_degree_sequence_except_cycle_join():
 
 def test_star_is_not_admissible_family_member():
     # star(4) has three length-1 branches: no even pair, so never a family base
-    assert is_starlike(star(4)) == (1, (1, 1, 1))
     with pytest.raises(ValueError):
         StarlikeSpec((1, 1, 1))

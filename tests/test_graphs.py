@@ -7,14 +7,12 @@ import lapeq.graphs
 from lapeq.graphs import (
     Graph,
     average_degree,
-    branch_paths,
     classify,
     connected_components,
     cycle,
     format_dot,
     format_edge_list,
     is_connected,
-    is_starlike,
     laplacian,
     load_graph,
     parse_edge_list,
@@ -127,38 +125,6 @@ def test_connectivity():
     assert is_connected(cycle(4))
     parts = connected_components(Graph(5, [(1, 2), (4, 5)]))
     assert sorted(sorted(p) for p in parts) == [[1, 2], [3], [4, 5]]
-
-
-def test_is_starlike_star_and_paths():
-    assert is_starlike(star(4)) == (1, (1, 1, 1))
-    assert is_starlike(path(5)) is None
-    assert is_starlike(cycle(5)) is None
-
-
-def test_is_starlike_sixteen_vertex_tree():
-    # two branches each of lengths 2 and 4, plus one odd branch
-    from lapeq.construct import spider
-
-    g = spider((4, 4, 2, 2, 3))
-    center, branches = is_starlike(g)
-    assert center == 1
-    assert branches == (2, 2, 3, 4, 4)
-    assert g.n == 16
-
-
-def test_is_starlike_rejects_two_hubs():
-    # H-shaped tree: two degree-3 vertices
-    g = Graph(8, [(1, 2), (1, 3), (1, 4), (4, 5), (5, 6), (6, 7), (6, 8)])
-    assert is_starlike(g) is None
-
-
-def test_branch_paths_orders_outward():
-    from lapeq.construct import spider
-
-    g = spider((2, 1))
-    assert branch_paths(g, 1) == [[2, 3], [4]]
-    with pytest.raises(ValueError):
-        branch_paths(cycle(4), 1)
 
 
 def test_unique_cycle_length():

@@ -55,16 +55,16 @@ def test_spectrum_helpers():
     assert s.sum() == 8.0
     assert s.multiplicity(2.0) == 2
     assert s.multiplicity(2.0000005, tol=1e-6) == 2
-    assert s.count_at_least(2.0) == 3
     assert s.rounded(1) == (4.0, 2.0, 2.0, 0.0)
-    assert s.with_tol(1e-3).tol == 1e-3
     assert sigma_count(s, 2.0) == 3
+    assert sigma_count(s, 2.0000005) == 1
+    assert sigma_count(s, 2.0000005, tol=1e-6) == 3
 
 
 def test_spectrum_tol_validation_and_equality():
-    with pytest.raises(ValueError):
-        Spectrum([1.0], tol=0.0)
-    assert Spectrum([1.0, 2.0]) == Spectrum([2.0, 1.0], tol=1e-3)  # tol is policy, not value
+    # a spectrum is its values alone; tolerances belong to the comparisons
+    assert Spectrum([1.0, 2.0]) == Spectrum([2.0, 1.0])
+    assert not hasattr(Spectrum([1.0]), "tol")
 
 
 def test_spectrum_serialization():
@@ -299,8 +299,7 @@ def test_multiset_remove_identity_and_errors():
 
 
 def test_multiset_remove_takes_nearest():
-    s = Spectrum([2.4, 1.9], tol=0.5)
-    assert multiset_remove(s, Spectrum([2.0])).values == (2.4,)
+    assert multiset_remove(Spectrum([2.4, 1.9]), Spectrum([2.0]), 0.5).values == (2.4,)
 
 
 def test_multiset_remove_replacement_identity():
@@ -350,13 +349,13 @@ def test_multiset_remove_finds_non_greedy_matching():
 def test_multiset_remove_accepts_any_perturbed_sub_multiset(values, data):
     # a 1/64 grid against tol = 0.1 puts several values within tol of each other
     tol = 0.1
-    s = Spectrum(values, tol)
+    s = Spectrum(values)
     keep = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
     shifts = data.draw(
         st.lists(st.floats(-0.99, 0.99), min_size=len(values), max_size=len(values))
     )
-    d = Spectrum([v + tol * u for v, u, k in zip(values, shifts, keep) if k], tol)
-    rest = multiset_remove(s, d)
+    d = Spectrum([v + tol * u for v, u, k in zip(values, shifts, keep) if k])
+    rest = multiset_remove(s, d, tol)
     assert len(rest) == len(s) - len(d)
 
 
