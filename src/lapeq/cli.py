@@ -24,6 +24,7 @@ from .construct import (
 )
 from .graphs import (
     Graph,
+    check_dense_order,
     check_order,
     classify,
     cycle,
@@ -53,10 +54,13 @@ def parse_graph_arg(text: str) -> Graph:
 
 
 def parse_branches(text: str) -> tuple[int, ...]:
+    """Starlike branch lengths; their tree has 1 + sum(lengths) vertices."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        lengths = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"branches must be comma-separated integers, got {text!r}")
+    check_order(1 + sum(lengths))
+    return lengths
 
 
 def parse_placement(text: str) -> str | tuple[int, ...]:
@@ -141,6 +145,7 @@ def cmd_build_mirror(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g = parse_graph_arg(args.graph)
+    check_dense_order(g.n)
     spec = laplacian_spectrum(g)
     report = energy_report(g, spec)
     if args.format == "json":

@@ -15,6 +15,9 @@ Edge = tuple[int, int]
 # Largest vertex count accepted from text input (edge-list headers, CLI
 # shorthands), checked before any edge is read or built.
 MAX_ORDER = 100_000
+# Largest order for which `lapeq spectrum` builds the dense n x n Laplacian
+# (8 * n^2 bytes, 800 MB at the limit), checked before it is allocated.
+MAX_DENSE_ORDER = 10_000
 
 
 def check_order(n: int) -> int:
@@ -22,6 +25,14 @@ def check_order(n: int) -> int:
     if n > MAX_ORDER:
         raise ValueError(f"graph order {n} exceeds the limit of {MAX_ORDER} vertices")
     return n
+
+
+def check_dense_order(n: int) -> None:
+    """ValueError when a dense n x n matrix of text input would pass MAX_DENSE_ORDER."""
+    if n > MAX_DENSE_ORDER:
+        raise ValueError(
+            f"graph order {n} exceeds the dense-matrix limit of {MAX_DENSE_ORDER} vertices"
+        )
 
 
 def _normalize_edge(u: int, v: int) -> Edge:

@@ -1,15 +1,22 @@
-"""Bottom-up eigenvalue counting on trees in exact rational arithmetic.
+"""Bottom-up eigenvalue counting on trees in exact integer arithmetic.
 
-One pass over a rooted tree decides, for a rational shift alpha, how many
-Laplacian eigenvalues lie above, at, and below alpha. Each vertex carries a
-rational value a(v), initialized to degree(v) - alpha; parents absorb
--1/a(child) from each child, and a zero-valued child forces the special
-step that detaches its parent from the grandparent. The sign counts of the
-final values are the eigenvalue counts.
+One pass over a rooted tree decides, for a rational shift alpha = s/q
+(q > 0), how many Laplacian eigenvalues lie above, at, and below alpha
+(Jacobs & Trevisan). Each vertex v carries the value a(v) = num/den as an
+unreduced integer pair, scaled by q: it starts at (q*deg(v) - s, q), and a
+child c with pair (num_c, den_c) turns it into
+(num*num_c - den_c*den, den*num_c), which is a(v) - 1/a(c). Without a zero
+on the way, num is det(q(L - alpha I)) on the subtree of v and den is q
+times the product of its children's determinants, so no gcd is ever taken.
+A zero child (num_c == 0) forces the special step: v becomes (-1, 2), the
+least zero child becomes (2, 1), and v is detached from its parent. The
+signs of the final pairs are the eigenvalue counts; `JTResult.final_values`
+reduces them to `Fraction`s on first access.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,17 +26,25 @@ from .spectra import laplacian_spectrum, sigma_count
 
 @dataclass(frozen=True)
 class JTResult:
-    """Final per-vertex values and the (above, equal, below) eigenvalue counts."""
+    """The (above, equal, below) eigenvalue counts, the cut edges, and the
+    final value of each vertex v as the integer pair (num[v], den[v]),
+    indexed by label (entry 0 is unused)."""
 
     above: int
     equal: int
     below: int
-    final_values: dict[int, Fraction]
+    num: tuple[int, ...]
+    den: tuple[int, ...]
     cut_edges: frozenset[tuple[int, int]]
 
     @property
     def counts(self) -> tuple[int, int, int]:
         return (self.above, self.equal, self.below)
+
+    @functools.cached_property
+    def final_values(self) -> dict[int, Fraction]:
+        """Final value of each vertex as a reduced Fraction, built on first use."""
+        return {v: Fraction(self.num[v], self.den[v]) for v in range(1, len(self.num))}
 
 
 def _as_exact(alpha) -> Fraction:
@@ -43,48 +58,56 @@ def _as_exact(alpha) -> Fraction:
 
 def jt_locate(g: Graph, alpha, root: int = 1) -> JTResult:
     """Count Laplacian eigenvalues of a tree above / at / below a rational alpha."""
-    if not 1 <= root <= g.n:
-        raise ValueError(f"root {root} out of range 1..{g.n}")
+    n = g.n
+    if not 1 <= root <= n:
+        raise ValueError(f"root {root} out of range 1..{n}")
 
     adj = g.adjacency
-    parent: dict[int, int] = {root: 0}
-    children: list[list[int]] = [[] for _ in range(g.n + 1)]
+    parent = [-1] * (n + 1)  # -1: not reached yet; the root's parent is 0
+    parent[root] = 0
     order: list[int] = []
     stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)
         for w in adj[v]:
-            if w not in parent:
+            if parent[w] < 0:
                 parent[w] = v
-                children[v].append(w)
                 stack.append(w)
     # connected with n - 1 edges: the walk from the root decides "tree"
-    if len(order) != g.n or g.num_edges != g.n - 1:
+    if len(order) != n or g.num_edges != n - 1:
         raise ValueError("input graph is not a tree")
     shift = _as_exact(alpha)
+    s, q = shift.numerator, shift.denominator
 
-    a = {v: Fraction(len(adj[v])) - shift for v in range(1, g.n + 1)}
-    detached: set[int] = set()
+    num = [q * len(nbrs) - s for nbrs in adj]
+    num[0] = 0
+    den = [q] * (n + 1)
+    zero_kid = [0] * (n + 1)  # least child whose final num is 0
     cut: set[tuple[int, int]] = set()
+    # children come after their parent in order, so each vertex is final
+    # when reached here and is then absorbed into its parent
     for v in reversed(order):
-        kids = [c for c in children[v] if c not in detached]
-        zeros = [c for c in kids if a[c] == 0]
-        if zeros:
-            chosen = min(zeros)
-            a[v] = Fraction(-1, 2)
-            a[chosen] = Fraction(2)
-            if v != root:
-                p = parent[v]
-                cut.add((min(v, p), max(v, p)))
-                detached.add(v)
-        else:
-            a[v] -= sum(Fraction(1) / a[c] for c in kids)
+        p = parent[v]
+        z = zero_kid[v]
+        if z:
+            num[v], den[v] = -1, 2
+            num[z], den[z] = 2, 1
+            if p:
+                cut.add((v, p) if v < p else (p, v))
+            continue  # detached: the parent does not see v
+        if not p:
+            continue
+        nv = num[v]
+        if nv:
+            num[p], den[p] = num[p] * nv - den[v] * den[p], den[p] * nv
+        elif not zero_kid[p] or v < zero_kid[p]:
+            zero_kid[p] = v
 
-    above = sum(1 for x in a.values() if x > 0)
-    equal = sum(1 for x in a.values() if x == 0)
-    below = g.n - above - equal
-    return JTResult(above, equal, below, a, frozenset(cut))
+    equal = num.count(0) - 1  # entry 0 is not a vertex
+    above = sum(1 for a, b in zip(num, den) if a and (a > 0) == (b > 0))
+    below = n - above - equal
+    return JTResult(above, equal, below, tuple(num), tuple(den), frozenset(cut))
 
 
 def sigma_tree(g: Graph) -> int:

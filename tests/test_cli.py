@@ -67,6 +67,33 @@ def test_parse_branches():
         parse_branches("2,x")
 
 
+def test_order_cap_applies_to_branches(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(lapeq.graphs, "MAX_ORDER", 5)
+    assert parse_branches("2,2") == (2, 2)  # 5 vertices
+    with pytest.raises(ValueError, match="graph order 6 exceeds the limit of 5"):
+        parse_branches("2,3")
+    assert main(["verify", "path-replacement", "--branches", "4,4,2,2,3", "--k", "2"]) == 2
+    assert main(["build", "starlike", "--branches", "4,4,2,2,3"]) == 2
+    assert capsys.readouterr().err.count("graph order 16 exceeds the limit of 5") == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dense_order_limit_checked_before_the_matrix(monkeypatch, capsys):
+    assert 44 * 100 < lapeq.graphs.MAX_DENSE_ORDER <= lapeq.graphs.MAX_ORDER
+    monkeypatch.setattr(lapeq.graphs, "MAX_DENSE_ORDER", 5)
+    assert main(["spectrum", "path:5", "--format", "csv"]) == 0
+    capsys.readouterr()
+
+    def refuse(g):
+        raise AssertionError("no dense matrix is built past the limit")
+
+    monkeypatch.setattr(lapeq.cli, "laplacian_spectrum", refuse)
+    assert main(["spectrum", "star:6"]) == 2
+    assert capsys.readouterr().err == (
+        "error: graph order 6 exceeds the dense-matrix limit of 5 vertices\n"
+    )
+
+
 def test_parse_binary():
     assert parse_binary("101") == (1, 0, 1)
     assert parse_binary("1,0,1") == (1, 0, 1)
@@ -214,6 +241,43 @@ def test_jt_json_with_values(capsys):
     assert payload["below"] == 0
     assert payload["cut_edges"] == []
     assert set(payload["values"]) == {"1", "2"}
+
+
+JT_GOLDEN = {
+    ("path:4", "1", "text"): (
+        "alpha: 1\nabove: 2\nequal: 0\nbelow: 2\ncut_edges: [(2, 3)]\n"
+        "a(1) = -1\na(2) = 1\na(3) = -1/2\na(4) = 2\n"
+    ),
+    ("path:4", "1", "json"): (
+        '{"above": 2, "alpha": "1", "below": 2, "cut_edges": [[2, 3]], "equal": 0, '
+        '"values": {"1": "-1", "2": "1", "3": "-1/2", "4": "2"}}\n'
+    ),
+    ("starlike", "9/5", "text"): (
+        "alpha: 9/5\nabove: 8\nequal: 0\nbelow: 8\ncut_edges: []\n"
+        "a(1) = 12173337/4097410\na(2) = 29/20\na(3) = -4/5\na(4) = 29/20\n"
+        "a(5) = -4/5\na(6) = 796/355\na(7) = -71/145\na(8) = 29/20\na(9) = -4/5\n"
+        "a(10) = 796/355\na(11) = -71/145\na(12) = 29/20\na(13) = -4/5\n"
+        "a(14) = -71/145\na(15) = 29/20\na(16) = -4/5\n"
+    ),
+    ("starlike", "9/5", "json"): (
+        '{"above": 8, "alpha": "9/5", "below": 8, "cut_edges": [], "equal": 0, '
+        '"values": {"1": "12173337/4097410", "10": "796/355", "11": "-71/145", '
+        '"12": "29/20", "13": "-4/5", "14": "-71/145", "15": "29/20", "16": "-4/5", '
+        '"2": "29/20", "3": "-4/5", "4": "29/20", "5": "-4/5", "6": "796/355", '
+        '"7": "-71/145", "8": "29/20", "9": "-4/5"}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("graph, alpha, fmt", sorted(JT_GOLDEN))
+def test_jt_values_golden(graph, alpha, fmt, tmp_path, capsys):
+    # path:4 at 1 runs the zero rule; the starlike tree is (4, 4, 2, 2, 3)
+    arg = graph
+    if graph == "starlike":
+        arg = str(tmp_path / "starlike.edges")
+        save_graph(build_starlike((4, 4, 2, 2, 3)), arg)
+    assert main(["jt", arg, "--alpha", alpha, "--values", "--format", fmt]) == 0
+    assert capsys.readouterr().out == JT_GOLDEN[graph, alpha, fmt]
 
 
 def test_jt_decimal_alpha(capsys):

@@ -1,15 +1,45 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lapeq.checks import random_tree
+from lapeq.checks import laplacian_charpoly, random_tree
 from lapeq.construct import StarlikeSpec, build_starlike, family_branches
 import lapeq.graphs
 from lapeq.graphs import Graph, average_degree, classify, cycle, path, star
 from lapeq.spectra import laplacian_spectrum, sigma_count
 from lapeq.treecount import JTResult, jt_locate, sigma_graph, sigma_tree
+
+
+def reference_jt(g, alpha, root):
+    """The Fraction recurrence jt_locate replaced: counts, cut edges, values."""
+    parent, order, stack = {root: 0}, [], [root]
+    children = {v: [] for v in range(1, g.n + 1)}
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in g.adjacency[v]:
+            if w not in parent:
+                parent[w] = v
+                children[v].append(w)
+                stack.append(w)
+    a = {v: len(g.adjacency[v]) - Fraction(alpha) for v in children}
+    detached, cut = set(), set()
+    for v in reversed(order):
+        kids = [c for c in children[v] if c not in detached]
+        zeros = [c for c in kids if a[c] == 0]
+        if zeros:
+            a[v], a[min(zeros)] = Fraction(-1, 2), Fraction(2)
+            if v != root:
+                cut.add(tuple(sorted((v, parent[v]))))
+                detached.add(v)
+        else:
+            a[v] -= sum(1 / a[c] for c in kids)
+    values = a.values()
+    counts = (sum(x > 0 for x in values), sum(x == 0 for x in values), sum(x < 0 for x in values))
+    return counts, frozenset(cut), a
 
 
 def test_single_edge_at_zero():
@@ -41,6 +71,20 @@ def test_final_values_bookkeeping():
     # leaf got d - alpha = 1, then the root became 1 - 1/1 = 0 -> forced to -1/2... no:
     # zero appears at the root itself, so it is simply recorded
     assert r.final_values[2] == 1
+
+
+def test_pairs_are_scaled_determinants():
+    # no zero on the way: the root's num is det(q(L - alpha I)) of the whole
+    # tree, (-1)^n q^n chi(s/q) with chi(x) = det(xI - L)
+    g = build_starlike(StarlikeSpec((4, 4, 2, 2, 3)))
+    alpha = Fraction(9, 5)
+    r = jt_locate(g, alpha)
+    assert r.cut_edges == frozenset() and r.equal == 0
+    chi = sum(c * alpha ** (g.n - i) for i, c in enumerate(laplacian_charpoly(g)))
+    assert r.num[1] == (-1) ** g.n * 5 ** g.n * chi
+    # a leaf keeps its starting pair (q * 1 - s, q)
+    assert (r.num[16], r.den[16]) == (5 - 9, 5)
+    assert r.final_values[1] == Fraction(r.num[1], r.den[1])
 
 
 def test_root_independence():
@@ -156,3 +200,25 @@ def test_counts_match_dense_spectrum(data, n):
     assert above >= strict_above
     assert below >= strict_below
     assert equal <= n - strict_above - strict_below
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30))
+def test_matches_fraction_reference(data, n):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    g = random_tree(rng, n)
+    # integer shifts hit eigenvalues of small trees, so the zero rule fires
+    den = 1 if data.draw(st.booleans()) else data.draw(st.integers(2, 9))
+    alpha = Fraction(data.draw(st.integers(0, 2 * n * den)), den)
+    if den == 1:
+        alpha = int(alpha)
+    root = data.draw(st.integers(1, n))
+    r = jt_locate(g, alpha, root=root)
+    counts, cut, values = reference_jt(g, alpha, root)
+    assert r.counts == counts
+    assert r.cut_edges == cut
+    assert r.final_values == values
+    for x in r.final_values.values():
+        assert isinstance(x, Fraction)
+        assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+
