@@ -296,6 +296,9 @@ def random_mirror(
     rng: random.Random, max_core: int = 6, max_host: int = 10
 ) -> tuple[MirrorDecomposition, tuple[int, ...]]:
     """A random mirror decomposition plus a random cross vector."""
+    for name, value in (("max_core", max_core), ("max_host", max_host)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     k = rng.randint(1, max_core)
     core = random_graph(rng, k, 0.5)
     m = rng.randint(1, max_host)
@@ -309,10 +312,13 @@ def random_mirror(
 # --- suites ---------------------------------------------------------------------
 
 
-def _tally(outcomes: Iterable[tuple[bool, float | None, dict]], residuals: bool = True) -> dict:
+def _tally(
+    outcomes: Iterable[tuple[bool, float | None, dict]], grid: str, residuals: bool = True
+) -> dict:
     """Fold per-instance (ok, residual, failure record) triples into the
     evidence every suite shares: the instance count, the worst residual when
-    the claim has residuals, the first 10 failure records and their count."""
+    the claim has residuals, the first 10 failure records and their count.
+    ValueError when the grid, described by `grid`, yields no instance."""
     instances, worst, failures = 0, 0.0, []
     for ok, resid, failure in outcomes:
         instances += 1
@@ -320,6 +326,8 @@ def _tally(outcomes: Iterable[tuple[bool, float | None, dict]], residuals: bool 
             worst = max(worst, resid)
         if not ok:
             failures.append(failure)
+    if not instances:
+        raise ValueError(f"nothing to check: {grid} is empty")
     evidence = {"instances": instances, "failures": failures[:10], "failure_count": len(failures)}
     if residuals:
         evidence["max_residual"] = worst
@@ -358,7 +366,7 @@ def replacement_suite(
             resid = rep.evidence["max_residual"]
             yield rep.ok, resid, {"instance": i, "n": dec.n, "k": dec.k, "residual": resid}
 
-    evidence = _tally(outcomes())
+    evidence = _tally(outcomes(), f"the grid of count={count} random mirrors")
     evidence.update(max_core=max_core, max_host=max_host)
     return CheckReport("replacement", not evidence["failure_count"], tol, evidence, seed)
 
@@ -425,7 +433,7 @@ def energy_sweep(max_n: int = 30, tol: float = 1e-8) -> CheckReport:
             resid = rep.evidence["max_residual"]
             yield rep.ok, resid, {"branches": list(spec.branches), "k": k, "residual": resid}
 
-    evidence = _tally(outcomes())
+    evidence = _tally(outcomes(), f"the starlike grid up to max_n={max_n}")
     evidence.update(max_n=max_n, specs=len({spec for spec, _ in grid}))
     return CheckReport("energy", not evidence["failure_count"], tol, evidence)
 
@@ -443,7 +451,7 @@ def sigma_sweep(max_n: int = 30) -> CheckReport:
                 "sigma_unicyclic": rep.evidence["sigma_unicyclic"],
             }
 
-    evidence = _tally(outcomes(), residuals=False)
+    evidence = _tally(outcomes(), f"the starlike grid up to max_n={max_n}", residuals=False)
     evidence["max_n"] = max_n
     return CheckReport("sigma", not evidence["failure_count"], None, evidence)
 
@@ -498,7 +506,7 @@ def jt_oracle_suite(
                 "dense_strict": [strict_above, amb, strict_below],
             }
 
-    evidence = _tally(outcomes(), residuals=False)
+    evidence = _tally(outcomes(), f"the grid of count={count} random trees", residuals=False)
     evidence.update(max_n=max_n, ambiguous_instances=ambiguous_instances)
     return CheckReport("jt-oracle", not evidence["failure_count"], tol, evidence, seed)
 
@@ -527,7 +535,7 @@ def structural_suite(
                 "components": comps,
             }
 
-    evidence = _tally(outcomes())
+    evidence = _tally(outcomes(), f"the grid of count={count} random graphs")
     evidence["max_n"] = max_n
     return CheckReport("structural", not evidence["failure_count"], tol, evidence, seed)
 

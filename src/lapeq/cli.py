@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 input error. The LAPEQ_OUT environment variable sets the default output
-directory (default: current directory).
+directory (default: current directory). Each command imports only the modules
+it runs, so `jt` and `build` start without numpy.
 """
 
 from __future__ import annotations
@@ -14,14 +15,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import checks
-from .construct import (
-    build_mirror,
-    build_starlike,
-    insert_cross_edges,
-    starlike_mirror,
-    write_family,
-)
 from .graphs import (
     Graph,
     check_dense_order,
@@ -34,8 +27,6 @@ from .graphs import (
     path,
     star,
 )
-from .spectra import energy_report, laplacian_spectrum
-from .treecount import jt_locate
 
 
 def _outdir() -> str:
@@ -101,6 +92,8 @@ def _print_graph_summary(g: Graph) -> None:
 
 
 def cmd_build_starlike(args) -> int:
+    from .construct import build_starlike
+
     g = build_starlike(parse_branches(args.branches))
     _print_graph_summary(g)
     out = args.out or os.path.join(
@@ -113,6 +106,8 @@ def cmd_build_starlike(args) -> int:
 
 
 def cmd_build_family(args) -> int:
+    from .construct import write_family
+
     placement = parse_placement(args.placement)
     tag = placement if isinstance(placement, str) else "-".join(map(str, placement))
     outdir = args.outdir or os.path.join(
@@ -126,6 +121,8 @@ def cmd_build_family(args) -> int:
 
 
 def cmd_build_mirror(args) -> int:
+    from .construct import build_mirror, insert_cross_edges
+
     core = parse_graph_arg(args.core)
     host = parse_graph_arg(args.host)
     dec = build_mirror(core, host, args.root, parse_binary(args.link))
@@ -144,6 +141,8 @@ def cmd_build_mirror(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .spectra import energy_report, laplacian_spectrum
+
     g = parse_graph_arg(args.graph)
     check_dense_order(g.n)
     spec = laplacian_spectrum(g)
@@ -167,6 +166,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_jt(args) -> int:
+    from .treecount import jt_locate
+
     g = parse_graph_arg(args.graph)
     res = jt_locate(g, parse_alpha(args.alpha), root=args.root)
     cut = sorted(res.cut_edges)
@@ -193,41 +194,51 @@ def cmd_jt(args) -> int:
     return 0
 
 
-# claim -> its reports; path-replacement, energy and sigma check the single
-# --branches/--k instance when --branches is given, else their default sweep
+def _verify_family(c, a):
+    """check_family, once the base tree's order (every member's) passes the dense limit."""
+    from .construct import family_branches
+
+    placement = parse_placement(a.placement)
+    check_dense_order(family_branches(a.ell, a.gamma, placement).n)
+    return [c.check_family(a.ell, a.gamma, placement, a.tol)]
+
+
+# claim -> its reports from the checks module c; path-replacement, energy and
+# sigma check the single --branches/--k instance when --branches is given,
+# else their default sweep
 _VERIFY = {
-    "replacement": lambda a: [
-        checks.replacement_suite(
+    "replacement": lambda c, a: [
+        c.replacement_suite(
             count=a.count, seed=a.seed, max_core=a.max_core, max_host=a.max_host, tol=a.tol
         )
     ],
-    "path-replacement": lambda a: [
-        checks.check_path_replacement(starlike_mirror(parse_branches(a.branches), a.k), a.tol)
+    "path-replacement": lambda c, a: [
+        c.check_path_replacement(c.starlike_mirror(parse_branches(a.branches), a.k), a.tol)
         if a.branches
-        else checks.path_replacement_examples(a.tol)
+        else c.path_replacement_examples(a.tol)
     ],
-    "energy": lambda a: [
-        checks.check_energy_equality(parse_branches(a.branches), a.k, a.tol)
+    "energy": lambda c, a: [
+        c.check_energy_equality(parse_branches(a.branches), a.k, a.tol)
         if a.branches
-        else checks.energy_sweep(max_n=a.max_n, tol=a.tol)
+        else c.energy_sweep(max_n=a.max_n, tol=a.tol)
     ],
-    "sigma": lambda a: [
-        checks.check_sigma(parse_branches(a.branches), a.k)
+    "sigma": lambda c, a: [
+        c.check_sigma(parse_branches(a.branches), a.k)
         if a.branches
-        else checks.sigma_sweep(max_n=a.max_n)
+        else c.sigma_sweep(max_n=a.max_n)
     ],
-    "family": lambda a: [
-        checks.check_family(a.ell, a.gamma, parse_placement(a.placement), a.tol)
-    ],
-    "trig": lambda a: [checks.check_trig_identity(a.kmax, a.tol)],
-    "all": lambda a: checks.run_all(seed=a.seed, budget=a.budget, experiments=a.experiments),
+    "family": _verify_family,
+    "trig": lambda c, a: [c.check_trig_identity(a.kmax, a.tol)],
+    "all": lambda c, a: c.run_all(seed=a.seed, budget=a.budget, experiments=a.experiments),
 }
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+
     if getattr(args, "branches", None) and args.k is None:
         raise ValueError("--k is required with --branches")
-    reports = _VERIFY[args.claim](args)
+    reports = _VERIFY[args.claim](checks, args)
     print(checks.format_report_table(reports))
     out = args.report or os.path.join(_outdir(), f"verify_{args.claim}.json")
     payload = [rep.to_dict() for rep in reports]

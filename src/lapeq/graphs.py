@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 Edge = tuple[int, int]
 
 # Largest vertex count accepted from text input (edge-list headers, CLI
@@ -119,6 +117,8 @@ def star(n: int) -> Graph:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Degree matrix minus adjacency matrix, as a dense symmetric float array."""
+    import numpy as np  # the only numpy use here: graph-only commands skip it
+
     m = np.zeros((g.n, g.n))
     ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2) - 1
     m[ends[:, 0], ends[:, 1]] = -1.0

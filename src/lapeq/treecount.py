@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, average_degree, is_connected
-from .spectra import laplacian_spectrum, sigma_count
 
 
 @dataclass(frozen=True)
@@ -123,4 +122,6 @@ def sigma_graph(g: Graph) -> int:
         raise ValueError("graph must be connected")
     if g.num_edges == g.n - 1:
         return sigma_tree(g)
+    from .spectra import laplacian_spectrum, sigma_count  # numpy only off the tree path
+
     return sigma_count(laplacian_spectrum(g), float(average_degree(g)))

@@ -300,6 +300,12 @@ def test_random_mirror_shapes():
         assert dec.n == 2 * dec.k + dec.host.n
 
 
+@pytest.mark.parametrize("name", ["max_core", "max_host"])
+def test_random_mirror_rejects_empty_sizes(name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+        random_mirror(random.Random(3), **{name: 0})
+
+
 # --- suites -------------------------------------------------------------------
 
 
@@ -310,6 +316,15 @@ def test_replacement_suite():
     assert rep.evidence["instances"] == 20
     assert rep.evidence["failure_count"] == 0
     assert rep.evidence["max_residual"] <= 1e-8
+
+
+def test_suites_refuse_an_empty_grid():
+    with pytest.raises(ValueError, match="nothing to check: .*count=0.* is empty"):
+        replacement_suite(count=0)
+    with pytest.raises(ValueError, match="max_n=4 is empty"):
+        energy_sweep(max_n=4)
+    with pytest.raises(ValueError, match="max_n=2 is empty"):
+        sigma_sweep(max_n=2)
 
 
 def test_path_replacement_examples():

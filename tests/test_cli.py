@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shutil
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import lapeq.checks
 import lapeq.cli
 import lapeq.graphs
+import lapeq.spectra
 from lapeq.cli import (
     main,
     parse_alpha,
@@ -87,7 +90,7 @@ def test_dense_order_limit_checked_before_the_matrix(monkeypatch, capsys):
     def refuse(g):
         raise AssertionError("no dense matrix is built past the limit")
 
-    monkeypatch.setattr(lapeq.cli, "laplacian_spectrum", refuse)
+    monkeypatch.setattr(lapeq.spectra, "laplacian_spectrum", refuse)
     assert main(["spectrum", "star:6"]) == 2
     assert capsys.readouterr().err == (
         "error: graph order 6 exceeds the dense-matrix limit of 5 vertices\n"
@@ -292,7 +295,7 @@ def test_out_of_memory_is_an_input_error(exc, monkeypatch, capsys):
     def too_large(g):
         raise exc
 
-    monkeypatch.setattr(lapeq.cli, "laplacian_spectrum", too_large)
+    monkeypatch.setattr(lapeq.spectra, "laplacian_spectrum", too_large)
     assert main(["spectrum", "path:4"]) == 2
     assert capsys.readouterr().err == f"error: {str(exc) or 'MemoryError'}\n"
 
@@ -312,6 +315,42 @@ def test_verify_family_writes_report(tmp_path, capsys):
     report = json.loads((tmp_path / "verify_family.json").read_text())
     assert report[0]["status"] == "pass"
     assert report[0]["evidence"]["n"] == 14
+
+
+def test_verify_family_dense_limit_checked_before_any_graph(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(lapeq.graphs, "MAX_DENSE_ORDER", 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no family is built past the dense limit")
+
+    monkeypatch.setattr(lapeq.checks, "check_family", refuse)
+    assert main(["verify", "family", "--ell", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: graph order 14 exceeds the dense-matrix limit of 5 vertices\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, grid",
+    [
+        (["replacement", "--count", "0"], "the grid of count=0 random mirrors"),
+        (["energy", "--max-n", "4"], "the starlike grid up to max_n=4"),
+        (["sigma", "--max-n", "2"], "the starlike grid up to max_n=2"),
+    ],
+    ids=["replacement", "energy", "sigma"],
+)
+def test_verify_empty_grid_is_an_input_error(argv, grid, tmp_path, capsys):
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr().err == f"error: nothing to check: {grid} is empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["max_core", "max_host"])
+def test_verify_replacement_rejects_empty_mirror_sizes(name, tmp_path, capsys):
+    assert main(["verify", "replacement", "--" + name.replace("_", "-"), "0"]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be >= 1, got 0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_energy_single_instance(tmp_path, capsys):
@@ -411,3 +450,55 @@ def test_console_script_installed():
     lines = proc.stdout.splitlines()
     assert lines[0] == "index,eigenvalue"
     assert float(lines[1].split(",")[1]) == pytest.approx(2.0, abs=1e-12)
+
+
+# --- start-up ------------------------------------------------------------------
+
+
+def _checkout_env() -> dict:
+    """The environment with this checkout's src first on the module path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _modules_after(*argvs) -> set[str]:
+    """The lapeq and numpy modules a fresh interpreter holds after main() has
+    run each argv in turn."""
+    code = (
+        "import sys\n"
+        "from lapeq.cli import main\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] in ('lapeq', 'numpy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_checkout_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    loaded = _modules_after(
+        ["jt", "path:4", "--alpha", "1"],
+        ["build", "starlike", "--branches", "2,2,1", "--out", str(tmp_path / "s.edges")],
+    )
+    assert "numpy" not in loaded
+    assert {"lapeq.checks", "lapeq.spectra"}.isdisjoint(loaded)
+    loaded = _modules_after(["spectrum", "path:4"])
+    assert "numpy" in loaded
+    assert {"lapeq.checks", "lapeq.construct", "lapeq.treecount"}.isdisjoint(loaded)
+
+
+def test_package_exports_resolve_lazily():
+    import lapeq
+
+    for name in lapeq.__all__:
+        obj = getattr(lapeq, name)
+        assert obj.__module__.startswith("lapeq.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+    assert set(lapeq.__all__) <= set(dir(lapeq))
+    assert lapeq.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        lapeq.no_such_name
