@@ -32,6 +32,7 @@ from .construct import (
 )
 from .graphs import Graph, connected_components, cycle, path
 from .spectra import (
+    SPECTRUM_TOL,
     SigmaMismatchError,
     Spectrum,
     SpectrumMatchError,
@@ -47,9 +48,18 @@ from .spectra import (
 )
 from .treecount import jt_locate, sigma_graph
 
+# Fixed tolerances, each recorded in its claim's report (sigma and
+# laplacian_charpoly are exact and need none): RESIDUAL_TOL for the
+# replacement, path-replacement, energy and family residuals, TRIG_TOL for the
+# cosine half-sums; jt-oracle and structural use spectra.SPECTRUM_TOL.
+RESIDUAL_TOL = 1e-8
+TRIG_TOL = 1e-12
 # Matching tolerance for eigenvalue multiplicities in the family check; the
 # discriminating eigenvalues are isolated by gaps orders of magnitude wider.
 MULTIPLICITY_TOL = 1e-7
+# Core and host orders of random_mirror are drawn from 1..MAX_CORE and 1..MAX_HOST.
+MAX_CORE = 6
+MAX_HOST = 10
 
 
 @dataclass(frozen=True)
@@ -105,7 +115,6 @@ def _replacement_report(
     cross: Sequence[int],
     removed: Spectrum,
     added: Spectrum,
-    tol: float,
     evidence: dict,
 ) -> CheckReport:
     """The replacement identity Lspect(g2) = (Lspect(g) without removed) plus
@@ -118,18 +127,16 @@ def _replacement_report(
         n=dec.n, k=dec.k, removed=list(removed.values), added=list(added.values), max_residual=None
     )
     try:
-        predicted = multiset_union(multiset_remove(lg, removed, tol), added)
+        predicted = multiset_union(multiset_remove(lg, removed, RESIDUAL_TOL), added)
     except SpectrumMatchError as exc:
         evidence["error"] = str(exc)
-        return CheckReport(claim, False, tol, evidence)
+        return CheckReport(claim, False, RESIDUAL_TOL, evidence)
     resid = max(abs(x - y) for x, y in zip(predicted.values, lg2.values, strict=True))
     evidence["max_residual"] = resid
-    return CheckReport(claim, resid <= tol, tol, evidence)
+    return CheckReport(claim, resid <= RESIDUAL_TOL, RESIDUAL_TOL, evidence)
 
 
-def check_spectral_replacement(
-    dec: MirrorDecomposition, cross: Sequence[int], tol: float = 1e-8
-) -> CheckReport:
+def check_spectral_replacement(dec: MirrorDecomposition, cross: Sequence[int]) -> CheckReport:
     """Cross-edge insertion replaces the spectrum of the linked core block:
     spect(L(core) + link diag) leaves the Laplacian spectrum and
     spect(same + 2*cross diag) enters it."""
@@ -138,10 +145,10 @@ def check_spectral_replacement(
     removed = sym_eigenvalues(h)
     added = sym_eigenvalues(h + 2.0 * np.diag(np.asarray(cross_v, dtype=float)))
     evidence = {"link": list(dec.link), "cross": list(cross_v)}
-    return _replacement_report("replacement", dec, cross_v, removed, added, tol, evidence)
+    return _replacement_report("replacement", dec, cross_v, removed, added, evidence)
 
 
-def check_path_replacement(dec: MirrorDecomposition, tol: float = 1e-8) -> CheckReport:
+def check_path_replacement(dec: MirrorDecomposition) -> CheckReport:
     """Same replacement identity, path core linked at its far end, single
     cross edge between the outer ends: the closed-form cosine multisets are
     exactly what leaves and enters the spectrum."""
@@ -149,7 +156,7 @@ def check_path_replacement(dec: MirrorDecomposition, tol: float = 1e-8) -> Check
     if dec.core != path(k) or dec.link != unit_vector(k, k):
         raise ValueError("decomposition must be a path core linked at vertex k")
     removed, added = replacement_spectra(k)
-    return _replacement_report("path-replacement", dec, unit_vector(k), removed, added, tol, {})
+    return _replacement_report("path-replacement", dec, unit_vector(k), removed, added, {})
 
 
 def _tree_and_companion(spec: StarlikeSpec | Iterable[int], k: int) -> tuple[Graph, Graph, dict]:
@@ -164,9 +171,7 @@ def _tree_and_companion(spec: StarlikeSpec | Iterable[int], k: int) -> tuple[Gra
     return g, g2, {"n": spec.n, "k": k, "branches": list(spec.branches)}
 
 
-def check_energy_equality(
-    spec: StarlikeSpec | Iterable[int], k: int, tol: float = 1e-8
-) -> CheckReport:
+def check_energy_equality(spec: StarlikeSpec | Iterable[int], k: int) -> CheckReport:
     """A cross edge between the two length-k branches preserves Laplacian
     energy, and the partial-sum formula reproduces the (zero) difference."""
     g, g2, evidence = _tree_and_companion(spec, k)
@@ -181,11 +186,11 @@ def check_energy_equality(
     except SigmaMismatchError as exc:
         evidence["error"] = str(exc)
         evidence["max_residual"] = None
-        return CheckReport("energy", False, tol, evidence)
+        return CheckReport("energy", False, RESIDUAL_TOL, evidence)
     evidence["formula_diff"] = formula
     resid = max(abs(direct), abs(formula - direct))
     evidence["max_residual"] = resid
-    return CheckReport("energy", resid <= tol, tol, evidence)
+    return CheckReport("energy", resid <= RESIDUAL_TOL, RESIDUAL_TOL, evidence)
 
 
 def check_sigma(spec: StarlikeSpec | Iterable[int], k: int) -> CheckReport:
@@ -199,12 +204,7 @@ def check_sigma(spec: StarlikeSpec | Iterable[int], k: int) -> CheckReport:
     return CheckReport("sigma", s_tree == s_uni == half_n, None, evidence)
 
 
-def check_family(
-    ell: int,
-    gamma: int = 1,
-    placement: str | Sequence[int] = "even",
-    tol: float = 1e-8,
-) -> CheckReport:
+def check_family(ell: int, gamma: int = 1, placement: str | Sequence[int] = "even") -> CheckReport:
     """The generated family is pairwise noncospectral with equal energies,
     and each cross edge strictly lowers the multiplicity of its top removed
     eigenvalue 2 + 2cos(2*pi/(4i+1))."""
@@ -237,11 +237,11 @@ def check_family(
         "cospectral_pairs": cospectral_pairs,
         "marker_multiplicities": multiplicities,
     }
-    ok = spread <= tol and not cospectral_pairs and drops_ok
-    return CheckReport("family", ok, tol, evidence)
+    ok = spread <= RESIDUAL_TOL and not cospectral_pairs and drops_ok
+    return CheckReport("family", ok, RESIDUAL_TOL, evidence)
 
 
-def check_trig_identity(k_max: int, tol: float = 1e-12) -> CheckReport:
+def check_trig_identity(k_max: int) -> CheckReport:
     """sum_{j=1..k} cos(2j*pi/(2k+1)) = -1/2 for every k up to k_max."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -252,7 +252,7 @@ def check_trig_identity(k_max: int, tol: float = 1e-12) -> CheckReport:
         if resid > worst:
             worst, worst_k = resid, k
     evidence = {"k_max": k_max, "max_residual": worst, "worst_k": worst_k, "instances": k_max}
-    return CheckReport("trig", worst <= tol, tol, evidence)
+    return CheckReport("trig", worst <= TRIG_TOL, TRIG_TOL, evidence)
 
 
 # --- random instances ----------------------------------------------------------
@@ -292,16 +292,11 @@ def random_tree(rng: random.Random, n: int) -> Graph:
     return Graph(n, edges)
 
 
-def random_mirror(
-    rng: random.Random, max_core: int = 6, max_host: int = 10
-) -> tuple[MirrorDecomposition, tuple[int, ...]]:
+def random_mirror(rng: random.Random) -> tuple[MirrorDecomposition, tuple[int, ...]]:
     """A random mirror decomposition plus a random cross vector."""
-    for name, value in (("max_core", max_core), ("max_host", max_host)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    k = rng.randint(1, max_core)
+    k = rng.randint(1, MAX_CORE)
     core = random_graph(rng, k, 0.5)
-    m = rng.randint(1, max_host)
+    m = rng.randint(1, MAX_HOST)
     host = random_graph(rng, m, 0.4)
     root = rng.randint(1, m)
     link = tuple(rng.randint(0, 1) for _ in range(k))
@@ -335,7 +330,7 @@ def _tally(
 
 
 def _details(
-    claim: str, tol: float, cases: Iterable[tuple[CheckReport, dict]], residual_key: str
+    claim: str, cases: Iterable[tuple[CheckReport, dict]], residual_key: str
 ) -> CheckReport:
     """One detail row per (report, row label) case, with its status and
     residual; passes when every case passes."""
@@ -347,31 +342,25 @@ def _details(
         ok = ok and rep.ok
         details.append({**label, "status": rep.status, residual_key: resid})
     evidence = {"instances": len(details), "max_residual": worst, "details": details}
-    return CheckReport(claim, ok, tol, evidence)
+    return CheckReport(claim, ok, RESIDUAL_TOL, evidence)
 
 
-def replacement_suite(
-    count: int = 50,
-    seed: int = 7,
-    max_core: int = 6,
-    max_host: int = 10,
-    tol: float = 1e-8,
-) -> CheckReport:
+def replacement_suite(count: int = 50, seed: int = 7) -> CheckReport:
     rng = random.Random(seed)
 
     def outcomes():
         for i in range(count):
-            dec, cross = random_mirror(rng, max_core, max_host)
-            rep = check_spectral_replacement(dec, cross, tol)
+            dec, cross = random_mirror(rng)
+            rep = check_spectral_replacement(dec, cross)
             resid = rep.evidence["max_residual"]
             yield rep.ok, resid, {"instance": i, "n": dec.n, "k": dec.k, "residual": resid}
 
     evidence = _tally(outcomes(), f"the grid of count={count} random mirrors")
-    evidence.update(max_core=max_core, max_host=max_host)
-    return CheckReport("replacement", not evidence["failure_count"], tol, evidence, seed)
+    evidence.update(max_core=MAX_CORE, max_host=MAX_HOST)
+    return CheckReport("replacement", not evidence["failure_count"], RESIDUAL_TOL, evidence, seed)
 
 
-def path_replacement_examples(tol: float = 1e-8) -> CheckReport:
+def path_replacement_examples() -> CheckReport:
     """Fixed path-core instances: the smallest starlike member, one tree
     viewed two ways over its repeated branch lengths, an odd path core, and a
     cycle host (the wider class: any host, path core linked at its far end)."""
@@ -383,8 +372,8 @@ def path_replacement_examples(tol: float = 1e-8) -> CheckReport:
         ("cycle-host-k3", build_mirror(path(3), cycle(5), 1, unit_vector(3, 3))),
         ("cycle-host-k1", build_mirror(path(1), cycle(5), 2, unit_vector(1, 1))),
     ]
-    cases = ((check_path_replacement(dec, tol), {"instance": name}) for name, dec in instances)
-    return _details("path-replacement", tol, cases, "residual")
+    cases = ((check_path_replacement(dec), {"instance": name}) for name, dec in instances)
+    return _details("path-replacement", cases, "residual")
 
 
 def iter_starlike_specs(max_n: int) -> Iterator[StarlikeSpec]:
@@ -422,20 +411,20 @@ def _starlike_grid(max_n: int) -> list[tuple[StarlikeSpec, int]]:
     return [(spec, k) for spec in iter_starlike_specs(max_n) for k in spec.admissible_lengths()]
 
 
-def energy_sweep(max_n: int = 30, tol: float = 1e-8) -> CheckReport:
+def energy_sweep(max_n: int = 30) -> CheckReport:
     """check_energy_equality over every eligible branch profile with n <= max_n
     and every admissible even branch length."""
     grid = _starlike_grid(max_n)
 
     def outcomes():
         for spec, k in grid:
-            rep = check_energy_equality(spec, k, tol)
+            rep = check_energy_equality(spec, k)
             resid = rep.evidence["max_residual"]
             yield rep.ok, resid, {"branches": list(spec.branches), "k": k, "residual": resid}
 
     evidence = _tally(outcomes(), f"the starlike grid up to max_n={max_n}")
     evidence.update(max_n=max_n, specs=len({spec for spec, _ in grid}))
-    return CheckReport("energy", not evidence["failure_count"], tol, evidence)
+    return CheckReport("energy", not evidence["failure_count"], RESIDUAL_TOL, evidence)
 
 
 def sigma_sweep(max_n: int = 30) -> CheckReport:
@@ -456,28 +445,23 @@ def sigma_sweep(max_n: int = 30) -> CheckReport:
     return CheckReport("sigma", not evidence["failure_count"], None, evidence)
 
 
-def family_sweep(
-    ells: Sequence[int] = (2, 3),
-    gammas: Sequence[int] = (1, 2),
-    placements: Sequence[str] = ("even", "odd"),
-    tol: float = 1e-8,
-) -> CheckReport:
+def family_sweep(ells: Sequence[int] = (2, 3), gammas: Sequence[int] = (1, 2)) -> CheckReport:
+    """check_family at every (ell, gamma) with even and with odd placement."""
+
     def cases():
         for ell in ells:
             for gamma in gammas:
-                for placement in placements:
-                    rep = check_family(ell, gamma, placement, tol)
+                for placement in ("even", "odd"):
+                    rep = check_family(ell, gamma, placement)
                     label = {"ell": ell, "gamma": gamma, "placement": placement}
                     yield rep, {**label, "n": rep.evidence["n"]}
 
-    return _details("family", tol, cases(), "energy_spread")
+    return _details("family", cases(), "energy_spread")
 
 
-def jt_oracle_suite(
-    count: int = 50, seed: int = 7, max_n: int = 200, tol: float = 1e-9
-) -> CheckReport:
+def jt_oracle_suite(count: int = 50, seed: int = 7, max_n: int = 200) -> CheckReport:
     """Exact tree counts vs the dense eigensolver. Eigenvalues farther than
-    tol from alpha classify strictly; anything inside the band is ambiguous,
+    SPECTRUM_TOL from alpha classify strictly; anything inside the band is ambiguous,
     and the exact count must place it consistently."""
     rng = random.Random(seed)
     ambiguous_instances = 0
@@ -492,8 +476,8 @@ def jt_oracle_suite(
             res = jt_locate(tree, alpha, root=rng.randint(1, n))
             spec = laplacian_spectrum(tree)
             af = float(alpha)
-            strict_above = sum(1 for v in spec if v > af + tol)
-            strict_below = sum(1 for v in spec if v < af - tol)
+            strict_above = sum(1 for v in spec if v > af + SPECTRUM_TOL)
+            strict_below = sum(1 for v in spec if v < af - SPECTRUM_TOL)
             amb = n - strict_above - strict_below
             if amb:
                 ambiguous_instances += 1
@@ -508,12 +492,10 @@ def jt_oracle_suite(
 
     evidence = _tally(outcomes(), f"the grid of count={count} random trees", residuals=False)
     evidence.update(max_n=max_n, ambiguous_instances=ambiguous_instances)
-    return CheckReport("jt-oracle", not evidence["failure_count"], tol, evidence, seed)
+    return CheckReport("jt-oracle", not evidence["failure_count"], SPECTRUM_TOL, evidence, seed)
 
 
-def structural_suite(
-    count: int = 100, seed: int = 7, max_n: int = 100, tol: float = 1e-9
-) -> CheckReport:
+def structural_suite(count: int = 100, seed: int = 7, max_n: int = 100) -> CheckReport:
     """Spectrum sum = 2*edges and kernel multiplicity = component count on
     random graphs."""
     rng = random.Random(seed)
@@ -524,9 +506,9 @@ def structural_suite(
             g = random_graph(rng, n, rng.uniform(0.02, 0.6))
             spec = laplacian_spectrum(g)
             trace_resid = abs(spec.sum() - 2.0 * g.num_edges)
-            kernel = spec.multiplicity(0.0, tol)
+            kernel = spec.multiplicity(0.0, SPECTRUM_TOL)
             comps = len(connected_components(g))
-            ok = trace_resid <= tol and kernel == comps
+            ok = trace_resid <= SPECTRUM_TOL and kernel == comps
             yield ok, trace_resid, {
                 "instance": i,
                 "n": n,
@@ -537,7 +519,7 @@ def structural_suite(
 
     evidence = _tally(outcomes(), f"the grid of count={count} random graphs")
     evidence["max_n"] = max_n
-    return CheckReport("structural", not evidence["failure_count"], tol, evidence, seed)
+    return CheckReport("structural", not evidence["failure_count"], SPECTRUM_TOL, evidence, seed)
 
 
 def odd_branch_experiment(max_n: int = 40) -> CheckReport:

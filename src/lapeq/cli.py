@@ -106,9 +106,10 @@ def cmd_build_starlike(args) -> int:
 
 
 def cmd_build_family(args) -> int:
-    from .construct import write_family
+    from .construct import family_branches, write_family
 
     placement = parse_placement(args.placement)
+    check_order(family_branches(args.ell, args.gamma, placement).n)
     tag = placement if isinstance(placement, str) else "-".join(map(str, placement))
     outdir = args.outdir or os.path.join(
         _outdir(), f"family_ell{args.ell}_gamma{args.gamma}_{tag}"
@@ -200,27 +201,23 @@ def _verify_family(c, a):
 
     placement = parse_placement(a.placement)
     check_dense_order(family_branches(a.ell, a.gamma, placement).n)
-    return [c.check_family(a.ell, a.gamma, placement, a.tol)]
+    return [c.check_family(a.ell, a.gamma, placement)]
 
 
 # claim -> its reports from the checks module c; path-replacement, energy and
-# sigma check the single --branches/--k instance when --branches is given,
-# else their default sweep
+# sigma check the single --branches/--k instance when both are given, else
+# their default sweep
 _VERIFY = {
-    "replacement": lambda c, a: [
-        c.replacement_suite(
-            count=a.count, seed=a.seed, max_core=a.max_core, max_host=a.max_host, tol=a.tol
-        )
-    ],
+    "replacement": lambda c, a: [c.replacement_suite(count=a.count, seed=a.seed)],
     "path-replacement": lambda c, a: [
-        c.check_path_replacement(c.starlike_mirror(parse_branches(a.branches), a.k), a.tol)
+        c.check_path_replacement(c.starlike_mirror(parse_branches(a.branches), a.k))
         if a.branches
-        else c.path_replacement_examples(a.tol)
+        else c.path_replacement_examples()
     ],
     "energy": lambda c, a: [
-        c.check_energy_equality(parse_branches(a.branches), a.k, a.tol)
+        c.check_energy_equality(parse_branches(a.branches), a.k)
         if a.branches
-        else c.energy_sweep(max_n=a.max_n, tol=a.tol)
+        else c.energy_sweep(max_n=a.max_n)
     ],
     "sigma": lambda c, a: [
         c.check_sigma(parse_branches(a.branches), a.k)
@@ -228,7 +225,7 @@ _VERIFY = {
         else c.sigma_sweep(max_n=a.max_n)
     ],
     "family": _verify_family,
-    "trig": lambda c, a: [c.check_trig_identity(a.kmax, a.tol)],
+    "trig": lambda c, a: [c.check_trig_identity(a.kmax)],
     "all": lambda c, a: c.run_all(seed=a.seed, budget=a.budget, experiments=a.experiments),
 }
 
@@ -236,8 +233,11 @@ _VERIFY = {
 def cmd_verify(args) -> int:
     from . import checks
 
-    if getattr(args, "branches", None) and args.k is None:
+    branches, k = getattr(args, "branches", None), getattr(args, "k", None)
+    if branches and k is None:
         raise ValueError("--k is required with --branches")
+    if k is not None and not branches:
+        raise ValueError("--branches is required with --k")
     reports = _VERIFY[args.claim](checks, args)
     print(checks.format_report_table(reports))
     out = args.report or os.path.join(_outdir(), f"verify_{args.claim}.json")
@@ -291,20 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
     v_rep = vsub.add_parser("replacement", help="random mirror structures: spectra replace as claimed")
     v_rep.add_argument("--count", type=int, default=50)
     v_rep.add_argument("--seed", type=int, default=7)
-    v_rep.add_argument("--max-core", type=int, default=6)
-    v_rep.add_argument("--max-host", type=int, default=10)
-    v_rep.add_argument("--tol", type=float, default=1e-8)
 
     v_path = vsub.add_parser("path-replacement", help="closed-form cosine replacement on path cores")
     v_path.add_argument("--branches", help="custom starlike branches (with --k)")
     v_path.add_argument("--k", type=int)
-    v_path.add_argument("--tol", type=float, default=1e-8)
 
     v_energy = vsub.add_parser("energy", help="cross edge preserves Laplacian energy")
     v_energy.add_argument("--branches", help="single instance (with --k); default sweeps n <= max-n")
     v_energy.add_argument("--k", type=int)
     v_energy.add_argument("--max-n", type=int, default=20, dest="max_n")
-    v_energy.add_argument("--tol", type=float, default=1e-8)
 
     v_sigma = vsub.add_parser("sigma", help="eigenvalues at/above average degree number n/2")
     v_sigma.add_argument("--branches", help="single instance (with --k); default sweeps n <= max-n")
@@ -315,11 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     v_fam.add_argument("--ell", type=int, required=True)
     v_fam.add_argument("--gamma", type=int, default=1)
     v_fam.add_argument("--placement", default="even")
-    v_fam.add_argument("--tol", type=float, default=1e-8)
 
     v_trig = vsub.add_parser("trig", help="cosine half-sum identity")
     v_trig.add_argument("--kmax", type=int, default=1000)
-    v_trig.add_argument("--tol", type=float, default=1e-12)
 
     v_all = vsub.add_parser("all", help="the whole battery")
     v_all.add_argument("--seed", type=int, default=7)

@@ -88,25 +88,26 @@ def test_2_equal_energy_family():
 
 def test_3_random_mirror_suite():
     t0 = time.perf_counter()
-    rep = replacement_suite(count=500, seed=7, max_core=6, max_host=10, tol=1e-8)
+    rep = replacement_suite(count=500, seed=7)
     elapsed = time.perf_counter() - t0
-    ok = rep.ok and elapsed < 30.0
+    ok = (rep.ok and rep.tolerance == 1e-8 and elapsed < 30.0
+          and (rep.evidence["max_core"], rep.evidence["max_host"]) == (6, 10))
     report(3, "500 random mirror replacements", ok,
            f"max residual {rep.evidence['max_residual']:.2e}, "
            f"{rep.evidence['failure_count']} failures, {elapsed:.2f}s")
 
 
 def test_4_exhaustive_energy_sweep():
-    rep = energy_sweep(max_n=30, tol=1e-8)
-    report(4, "energy equality, all instances to 30 vertices", rep.ok,
+    rep = energy_sweep(max_n=30)
+    report(4, "energy equality, all instances to 30 vertices", rep.ok and rep.tolerance == 1e-8,
            f"{rep.evidence['instances']} instances, "
            f"max residual {rep.evidence['max_residual']:.2e}")
 
 
 def test_5_exact_count_oracle_and_sigma():
-    jt = jt_oracle_suite(count=500, seed=7, max_n=200, tol=1e-9)
+    jt = jt_oracle_suite(count=500, seed=7, max_n=200)
     sg = sigma_sweep(max_n=30)
-    ok = jt.ok and sg.ok
+    ok = jt.ok and jt.tolerance == 1e-9 and sg.ok
     report(5, "exact tree counts vs dense solver, sigma = n/2", ok,
            f"{jt.evidence['instances']} trees ({jt.evidence['ambiguous_instances']} near-tie), "
            f"{sg.evidence['instances']} sigma instances, "
@@ -126,13 +127,13 @@ def test_6_tridiagonal_closed_form():
 
 
 def test_7_cosine_identity():
-    rep = check_trig_identity(1000, tol=1e-12)
-    report(7, "cosine half-sum identity to k=1000", rep.ok,
+    rep = check_trig_identity(1000)
+    report(7, "cosine half-sum identity to k=1000", rep.ok and rep.tolerance == 1e-12,
            f"max residual {rep.evidence['max_residual']:.2e} at k={rep.evidence['worst_k']}")
 
 
 def test_8_structural_invariants():
-    rep = structural_suite(count=1000, seed=7, max_n=100, tol=1e-9)
-    report(8, "trace and kernel invariants on 1000 random graphs", rep.ok,
+    rep = structural_suite(count=1000, seed=7, max_n=100)
+    report(8, "trace and kernel invariants on 1000 random graphs", rep.ok and rep.tolerance == 1e-9,
            f"max trace residual {rep.evidence['max_residual']:.2e}, "
            f"{rep.evidence['failure_count']} failures")

@@ -163,6 +163,13 @@ def test_build_family(tmp_path, capsys):
     assert (outdir / "unicyclic_2.edges").exists()
 
 
+def test_build_family_order_limit(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(lapeq.graphs, "MAX_ORDER", 5)
+    assert main(["build", "family", "--ell", "2"]) == 2
+    assert capsys.readouterr().err == "error: graph order 14 exceeds the limit of 5 vertices\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_mirror_and_spectrum_round_trip(tmp_path, capsys):
     assert main(["build", "mirror", "--core", "path:3", "--host", "cycle:5",
                  "--root", "1", "--link", "111"]) == 0
@@ -346,13 +353,6 @@ def test_verify_empty_grid_is_an_input_error(argv, grid, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name", ["max_core", "max_host"])
-def test_verify_replacement_rejects_empty_mirror_sizes(name, tmp_path, capsys):
-    assert main(["verify", "replacement", "--" + name.replace("_", "-"), "0"]) == 2
-    assert capsys.readouterr().err == f"error: {name} must be >= 1, got 0\n"
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_verify_energy_single_instance(tmp_path, capsys):
     assert main(["verify", "energy", "--branches", "2,2,1", "--k", "2"]) == 0
     report = json.loads((tmp_path / "verify_energy.json").read_text())
@@ -362,7 +362,7 @@ def test_verify_energy_single_instance(tmp_path, capsys):
 def test_successive_calls_do_not_share_options(tmp_path, capsys):
     # main() reuses one parser per process; options of one call must not
     # reach the next
-    assert main(["verify", "energy", "--branches", "2,2,1", "--k", "2", "--tol", "1e-6"]) == 0
+    assert main(["verify", "energy", "--branches", "2,2,1", "--k", "2"]) == 0
     assert main(["verify", "energy", "--max-n", "8"]) == 0
     report = json.loads((tmp_path / "verify_energy.json").read_text())[0]
     assert report["tolerance"] == 1e-8
@@ -395,8 +395,16 @@ def test_verify_branches_requires_k(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_verify_failure_exits_one(tmp_path, capsys):
-    assert main(["verify", "trig", "--kmax", "5", "--tol", "0"]) == 1
+@pytest.mark.parametrize("claim", ["path-replacement", "energy", "sigma"])
+def test_verify_k_requires_branches(claim, tmp_path, capsys):
+    assert main(["verify", claim, "--k", "4"]) == 2
+    assert capsys.readouterr().err == "error: --branches is required with --k\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lapeq.checks, "TRIG_TOL", 0.0)
+    assert main(["verify", "trig", "--kmax", "5"]) == 1
     out = capsys.readouterr().out
     assert "fail" in out
     report = json.loads((tmp_path / "verify_trig.json").read_text())
