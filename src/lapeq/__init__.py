@@ -15,7 +15,7 @@ _EXPORTS = {
     ),
     "graphs": (
         "Graph", "average_degree", "classify", "connected_components", "cycle",
-        "format_dot", "format_edge_list", "is_connected", "laplacian", "load_graph",
+        "format_dot", "format_edge_list", "laplacian", "load_graph",
         "parse_edge_list", "path", "save_graph", "star", "unique_cycle_length",
     ),
     "spectra": (
@@ -25,7 +25,7 @@ _EXPORTS = {
         "multiset_union", "replacement_spectra", "sym_eigenvalues",
         "tridiagonal_spectrum",
     ),
-    "treecount": ("JTResult", "jt_locate", "sigma_graph", "sigma_tree"),
+    "treecount": ("JTResult", "jt_locate", "sigma_tree"),
     "checks": (
         "CheckReport", "check_energy_equality", "check_family", "check_path_replacement",
         "check_sigma", "check_spectral_replacement", "check_trig_identity", "run_all",

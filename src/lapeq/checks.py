@@ -10,10 +10,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -30,7 +28,7 @@ from .construct import (
     starlike_mirror,
     unit_vector,
 )
-from .graphs import Graph, connected_components, cycle, path
+from .graphs import Graph, average_degree, connected_components, cycle, path
 from .spectra import (
     SPECTRUM_TOL,
     SigmaMismatchError,
@@ -44,14 +42,16 @@ from .spectra import (
     multiset_remove,
     multiset_union,
     replacement_spectra,
+    sigma_count,
     sym_eigenvalues,
 )
-from .treecount import jt_locate, sigma_graph
+from .treecount import _berkowitz, jt_locate, sigma_tree
 
-# Fixed tolerances, each recorded in its claim's report (sigma and
-# laplacian_charpoly are exact and need none): RESIDUAL_TOL for the
-# replacement, path-replacement, energy and family residuals, TRIG_TOL for the
-# cosine half-sums; jt-oracle and structural use spectra.SPECTRUM_TOL.
+# Fixed tolerances, each recorded in its claim's report (laplacian_charpoly is
+# exact and needs none): RESIDUAL_TOL for the replacement, path-replacement,
+# energy and family residuals, TRIG_TOL for the cosine half-sums;
+# spectra.SPECTRUM_TOL for jt-oracle, structural, and sigma and
+# odd-branch-experiment, whose companion count is a float count.
 RESIDUAL_TOL = 1e-8
 TRIG_TOL = 1e-12
 # Matching tolerance for eigenvalue multiplicities in the family check; the
@@ -195,13 +195,14 @@ def check_energy_equality(spec: StarlikeSpec | Iterable[int], k: int) -> CheckRe
 
 def check_sigma(spec: StarlikeSpec | Iterable[int], k: int) -> CheckReport:
     """Both the tree and its cross-edge companion have exactly n/2 Laplacian
-    eigenvalues at or above their average degree."""
+    eigenvalues at or above their average degree: exactly counted on the
+    tree, and counted on the companion's dense spectrum within SPECTRUM_TOL."""
     g, g2, evidence = _tree_and_companion(spec, k)
-    s_tree = sigma_graph(g)
-    s_uni = sigma_graph(g2)
+    s_tree = sigma_tree(g)
+    s_uni = sigma_count(laplacian_spectrum(g2), float(average_degree(g2)))
     half_n = g.n // 2
     evidence.update(sigma_tree=s_tree, sigma_unicyclic=s_uni, half_n=half_n)
-    return CheckReport("sigma", s_tree == s_uni == half_n, None, evidence)
+    return CheckReport("sigma", s_tree == s_uni == half_n, SPECTRUM_TOL, evidence)
 
 
 def check_family(ell: int, gamma: int = 1, placement: str | Sequence[int] = "even") -> CheckReport:
@@ -442,7 +443,7 @@ def sigma_sweep(max_n: int = 30) -> CheckReport:
 
     evidence = _tally(outcomes(), f"the starlike grid up to max_n={max_n}", residuals=False)
     evidence["max_n"] = max_n
-    return CheckReport("sigma", not evidence["failure_count"], None, evidence)
+    return CheckReport("sigma", not evidence["failure_count"], SPECTRUM_TOL, evidence)
 
 
 def family_sweep(ells: Sequence[int] = (2, 3), gammas: Sequence[int] = (1, 2)) -> CheckReport:
@@ -536,8 +537,8 @@ def odd_branch_experiment(max_n: int = 40) -> CheckReport:
             branches = (k, k, odd)
             g = spider(branches)
             g2 = g.add_edges([cross_edge(branches, k)])
-            s_tree = sigma_graph(g)
-            s_uni = sigma_graph(g2)
+            s_tree = sigma_tree(g)
+            s_uni = sigma_count(laplacian_spectrum(g2), float(average_degree(g2)))
             match = s_tree == s_uni == n // 2
             holds += match
             observations.append(
@@ -554,36 +555,7 @@ def odd_branch_experiment(max_n: int = 40) -> CheckReport:
         "holds": holds,
         "observations": observations,
     }
-    return CheckReport("odd-branch-experiment", True, None, evidence)
-
-
-def _berkowitz(diagonal: Sequence[int], adjacency: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Coefficients (leading first) of det(xI - M) as exact integers, for the
-    symmetric M with M[v][v] = diagonal[v - 1] and M[u][v] = -1 wherever u and
-    v are neighbours in the 1-based adjacency (entry 0 empty, neighbours
-    ascending, as Graph.adjacency).
-
-    Division-free Berkowitz over the leading principal blocks on 1..r: with
-    A the block on 1..r-1 and C its column to r, chi_r is the Toeplitz
-    product of (1, -M[r][r], -C.C, -C.AC, ..., -C.A^(r-2)C) with chi_(r-1).
-    Each block keeps the full diagonal, and by symmetry C.A^(2j)C = w.w and
-    C.A^(2j+1)C = w.Aw with w = A^j C, so step r takes about r/2 sparse
-    products."""
-    d = (0, *diagonal)
-    poly = [1]
-    for r in range(1, len(d)):
-        nbrs = [a[:bisect_left(a, r)] for a in adjacency[:r]]
-        w = [0] * r  # A^j C on 1..r-1; slot 0 stays 0
-        for u in adjacency[r][:bisect_left(adjacency[r], r)]:
-            w[u] = -1
-        col = [1, -d[r]]
-        for _ in range(r // 2):
-            aw = [dv * x - sum(map(w.__getitem__, nb)) for dv, x, nb in zip(d, w, nbrs)]
-            col += (-sum(map(mul, w, w)), -sum(map(mul, w, aw)))
-            w = aw
-        col = col[r::-1]
-        poly = [sum(map(mul, col[r - k:], poly)) for k in range(r + 1)]
-    return tuple(poly)
+    return CheckReport("odd-branch-experiment", True, SPECTRUM_TOL, evidence)
 
 
 def laplacian_charpoly(g: Graph) -> tuple[int, ...]:

@@ -211,17 +211,17 @@ _VERIFY = {
     "replacement": lambda c, a: [c.replacement_suite(count=a.count, seed=a.seed)],
     "path-replacement": lambda c, a: [
         c.check_path_replacement(c.starlike_mirror(parse_branches(a.branches), a.k))
-        if a.branches
+        if a.branches is not None
         else c.path_replacement_examples()
     ],
     "energy": lambda c, a: [
         c.check_energy_equality(parse_branches(a.branches), a.k)
-        if a.branches
+        if a.branches is not None
         else c.energy_sweep(max_n=a.max_n)
     ],
     "sigma": lambda c, a: [
         c.check_sigma(parse_branches(a.branches), a.k)
-        if a.branches
+        if a.branches is not None
         else c.sigma_sweep(max_n=a.max_n)
     ],
     "family": _verify_family,
@@ -234,9 +234,9 @@ def cmd_verify(args) -> int:
     from . import checks
 
     branches, k = getattr(args, "branches", None), getattr(args, "k", None)
-    if branches and k is None:
+    if branches is not None and k is None:
         raise ValueError("--k is required with --branches")
-    if k is not None and not branches:
+    if k is not None and branches is None:
         raise ValueError("--branches is required with --k")
     reports = _VERIFY[args.claim](checks, args)
     print(checks.format_report_table(reports))

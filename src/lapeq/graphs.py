@@ -149,10 +149,6 @@ def connected_components(g: Graph) -> list[set[int]]:
     return parts
 
 
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
-
-
 def classify(g: Graph) -> str:
     """One of "tree", "unicyclic", "forest", "other"."""
     parts = len(connected_components(g))

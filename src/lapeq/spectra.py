@@ -112,9 +112,9 @@ def laplacian_energy(g: Graph, spectrum: Spectrum | None = None) -> float:
     return math.fsum(abs(v - dbar) for v in _spectrum_of(g, spectrum))
 
 
-def sigma_count(spectrum: Spectrum, dbar: float, tol: float = SPECTRUM_TOL) -> int:
-    """Number of eigenvalues >= dbar, counting anything within tol below it."""
-    return sum(1 for v in spectrum if v >= dbar - tol)
+def sigma_count(spectrum: Spectrum, dbar: float) -> int:
+    """Number of eigenvalues >= dbar, counting anything within SPECTRUM_TOL below it."""
+    return sum(1 for v in spectrum if v >= dbar - SPECTRUM_TOL)
 
 
 def energy_report(g: Graph, spectrum: Spectrum | None = None) -> dict:
@@ -235,12 +235,7 @@ def cospectral(s1: Spectrum, s2: Spectrum, tol: float = SPECTRUM_TOL) -> bool:
     return all(abs(x - y) <= tol for x, y in zip(s1.values, s2.values))
 
 
-def delta_le(
-    g: Graph,
-    g2: Graph,
-    tol: float = SPECTRUM_TOL,
-    spectra: tuple[Spectrum, Spectrum] | None = None,
-) -> float:
+def delta_le(g: Graph, g2: Graph, spectra: tuple[Spectrum, Spectrum] | None = None) -> float:
     """Laplacian-energy difference LE(g2) - LE(g) via the partial-sum formula
     2 * sum_{i<=sigma}(mu_i' - mu_i) - 4*sigma*(e' - e)/n.
 
@@ -254,8 +249,8 @@ def delta_le(
     s1, s2 = spectra or (None, None)
     s1 = _spectrum_of(g, s1)
     s2 = _spectrum_of(g2, s2)
-    sig1 = sigma_count(s1, float(average_degree(g)), tol)
-    sig2 = sigma_count(s2, float(average_degree(g2)), tol)
+    sig1 = sigma_count(s1, float(average_degree(g)))
+    sig2 = sigma_count(s2, float(average_degree(g2)))
     if sig1 != sig2:
         raise SigmaMismatchError(f"sigma mismatch: {sig1} != {sig2}")
     delta_e = g2.num_edges - g.num_edges

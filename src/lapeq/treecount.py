@@ -1,4 +1,5 @@
-"""Bottom-up eigenvalue counting on trees in exact integer arithmetic.
+"""The exact-arithmetic module: Jacobs-Trevisan eigenvalue counting on trees
+and the Berkowitz characteristic polynomial, in integers, with no float code.
 
 One pass over a rooted tree decides, for a rational shift alpha = s/q
 (q > 0), how many Laplacian eigenvalues lie above, at, and below alpha
@@ -11,16 +12,20 @@ times the product of its children's determinants, so no gcd is ever taken.
 A zero child (num_c == 0) forces the special step: v becomes (-1, 2), the
 least zero child becomes (2, 1), and v is detached from its parent. The
 signs of the final pairs are the eigenvalue counts; `JTResult.final_values`
-reduces them to `Fraction`s on first access.
+reduces them to `Fraction`s on first access. The float counts, such as sigma
+of a graph with a cycle, belong to `spectra`.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+from typing import Sequence
 
-from .graphs import Graph, average_degree, is_connected
+from .graphs import Graph, average_degree
 
 
 @dataclass(frozen=True)
@@ -115,13 +120,30 @@ def sigma_tree(g: Graph) -> int:
     return result.above + result.equal
 
 
-def sigma_graph(g: Graph) -> int:
-    """Number of Laplacian eigenvalues >= average degree: exact count for
-    trees, dense-spectrum count otherwise."""
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    if g.num_edges == g.n - 1:
-        return sigma_tree(g)
-    from .spectra import laplacian_spectrum, sigma_count  # numpy only off the tree path
+def _berkowitz(diagonal: Sequence[int], adjacency: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Coefficients (leading first) of det(xI - M) as exact integers, for the
+    symmetric M with M[v][v] = diagonal[v - 1] and M[u][v] = -1 wherever u and
+    v are neighbours in the 1-based adjacency (entry 0 empty, neighbours
+    ascending, as Graph.adjacency).
 
-    return sigma_count(laplacian_spectrum(g), float(average_degree(g)))
+    Division-free Berkowitz over the leading principal blocks on 1..r: with
+    A the block on 1..r-1 and C its column to r, chi_r is the Toeplitz
+    product of (1, -M[r][r], -C.C, -C.AC, ..., -C.A^(r-2)C) with chi_(r-1).
+    Each block keeps the full diagonal, and by symmetry C.A^(2j)C = w.w and
+    C.A^(2j+1)C = w.Aw with w = A^j C, so step r takes about r/2 sparse
+    products."""
+    d = (0, *diagonal)
+    poly = [1]
+    for r in range(1, len(d)):
+        nbrs = [a[:bisect_left(a, r)] for a in adjacency[:r]]
+        w = [0] * r  # A^j C on 1..r-1; slot 0 stays 0
+        for u in adjacency[r][:bisect_left(adjacency[r], r)]:
+            w[u] = -1
+        col = [1, -d[r]]
+        for _ in range(r // 2):
+            aw = [dv * x - sum(map(w.__getitem__, nb)) for dv, x, nb in zip(d, w, nbrs)]
+            col += (-sum(map(mul, w, w)), -sum(map(mul, w, aw)))
+            w = aw
+        col = col[r::-1]
+        poly = [sum(map(mul, col[r - k:], poly)) for k in range(r + 1)]
+    return tuple(poly)

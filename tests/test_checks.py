@@ -12,7 +12,6 @@ import lapeq.graphs
 import lapeq.spectra
 from lapeq.checks import (
     CheckReport,
-    _berkowitz,
     check_energy_equality,
     check_family,
     check_path_replacement,
@@ -48,6 +47,7 @@ from lapeq.construct import (
 )
 from lapeq.graphs import Graph, classify, cycle, path
 from lapeq.spectra import cospectral, laplacian_spectrum
+from lapeq.treecount import _berkowitz
 
 
 # --- report plumbing -----------------------------------------------------------
@@ -197,13 +197,28 @@ def test_energy_check_rejects_odd_k():
 def test_sigma_check():
     rep = check_sigma((2, 2, 1), 2)
     assert rep.ok
-    assert rep.tolerance is None
+    assert rep.tolerance == 1e-9
     assert rep.evidence["sigma_tree"] == rep.evidence["sigma_unicyclic"] == 3
     rep44 = check_sigma(family_branches(4, 2), 8)
     assert rep44.ok
     assert rep44.evidence["half_n"] == 22
     with pytest.raises(ValueError):
         check_sigma((2, 2, 1), 3)
+
+
+def test_check_sigma_walks_no_components(monkeypatch):
+    walks = []
+    walk = lapeq.graphs.connected_components
+
+    def counted(g):
+        walks.append(g.n)
+        return walk(g)
+
+    monkeypatch.setattr(lapeq.graphs, "connected_components", counted)
+    assert check_sigma((4, 4, 2, 2, 3), 2).ok
+    assert walks == []  # jt_locate's rooting walk decides "tree"; the companion is never walked
+    assert classify(Graph(5, [(1, 2), (3, 4)])) == "forest"
+    assert walks == [5]
 
 
 def test_family_check():
@@ -388,10 +403,10 @@ TOLERANCES = {
     "energy": 1e-8,
     "family": 1e-8,
     "jt-oracle": 1e-9,
-    "odd-branch-experiment": None,
+    "odd-branch-experiment": 1e-9,
     "path-replacement": 1e-8,
     "replacement": 1e-8,
-    "sigma": None,
+    "sigma": 1e-9,
     "structural": 1e-9,
     "trig": 1e-12,
 }

@@ -402,6 +402,13 @@ def test_verify_k_requires_branches(claim, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("claim", ["path-replacement", "energy", "sigma"])
+def test_verify_empty_branches_is_an_input_error(claim, tmp_path, capsys):
+    assert main(["verify", claim, "--branches", "", "--k", "2"]) == 2
+    assert capsys.readouterr().err == "error: branches must be comma-separated integers, got ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lapeq.checks, "TRIG_TOL", 0.0)
     assert main(["verify", "trig", "--kmax", "5"]) == 1
@@ -471,20 +478,22 @@ def _checkout_env() -> dict:
     return env
 
 
-def _modules_after(*argvs) -> set[str]:
-    """The lapeq and numpy modules a fresh interpreter holds after main() has
-    run each argv in turn."""
-    code = (
-        "import sys\n"
-        "from lapeq.cli import main\n"
-        f"for argv in {list(argvs)!r}:\n"
-        "    assert main(argv) == 0, argv\n"
-        "print(*sorted(m for m in sys.modules if m.partition('.')[0] in ('lapeq', 'numpy')))\n"
-    )
+def _modules_loaded(code: str) -> set[str]:
+    """The lapeq and numpy modules a fresh interpreter holds after running code."""
+    code += "\nimport sys\nprint(*sorted(m for m in sys.modules if m.partition('.')[0] in ('lapeq', 'numpy')))\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_checkout_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
+
+
+def _modules_after(*argvs) -> set[str]:
+    """The lapeq and numpy modules loaded once main() has run each argv in turn."""
+    return _modules_loaded(
+        "from lapeq.cli import main\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+    )
 
 
 def test_commands_import_only_what_they_run(tmp_path):
@@ -497,6 +506,14 @@ def test_commands_import_only_what_they_run(tmp_path):
     loaded = _modules_after(["spectrum", "path:4"])
     assert "numpy" in loaded
     assert {"lapeq.checks", "lapeq.construct", "lapeq.treecount"}.isdisjoint(loaded)
+    loaded = _modules_loaded(
+        "import lapeq.treecount\n"
+        "from lapeq.graphs import path\n"
+        "assert lapeq.treecount.sigma_tree(path(5)) == 2\n"
+        "p4 = path(4)\n"
+        "assert lapeq.treecount._berkowitz(p4.degrees(), p4.adjacency) == (1, -6, 10, -4, 0)\n"
+    )
+    assert "numpy" not in loaded and "lapeq.spectra" not in loaded
 
 
 def test_package_exports_resolve_lazily():

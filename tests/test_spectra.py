@@ -58,7 +58,7 @@ def test_spectrum_helpers():
     assert s.rounded(1) == (4.0, 2.0, 2.0, 0.0)
     assert sigma_count(s, 2.0) == 3
     assert sigma_count(s, 2.0000005) == 1
-    assert sigma_count(s, 2.0000005, tol=1e-6) == 3
+    assert sigma_count(laplacian_spectrum(cycle(5)), 2.0) == 2
 
 
 def test_spectrum_tol_validation_and_equality():

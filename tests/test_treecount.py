@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from lapeq.checks import laplacian_charpoly, random_tree
 from lapeq.construct import StarlikeSpec, build_starlike, family_branches
-import lapeq.graphs
-from lapeq.graphs import Graph, average_degree, classify, cycle, path, star
+from lapeq.graphs import Graph, average_degree, cycle, path, star
 from lapeq.spectra import laplacian_spectrum, sigma_count
-from lapeq.treecount import JTResult, jt_locate, sigma_graph, sigma_tree
+from lapeq.treecount import JTResult, jt_locate, sigma_tree
 
 
 def reference_jt(g, alpha, root):
@@ -148,34 +147,6 @@ def test_sigma_tree_matches_dense_count():
         g = random_tree(rng, rng.randint(2, 60))
         dense = sigma_count(laplacian_spectrum(g), float(average_degree(g)))
         assert sigma_tree(g) == dense
-
-
-def test_sigma_graph():
-    assert sigma_graph(cycle(5)) == 2
-    assert sigma_graph(path(2)) == 1
-    assert sigma_graph(path(5)) == sigma_tree(path(5))
-    with pytest.raises(ValueError):
-        sigma_graph(Graph(4, [(1, 2), (3, 4)]))
-
-
-def test_sigma_graph_walks_components_once(monkeypatch):
-    walks = []
-    walk = lapeq.graphs.connected_components
-
-    def counted(g):
-        walks.append(g.n)
-        return walk(g)
-
-    monkeypatch.setattr(lapeq.graphs, "connected_components", counted)
-    tree = build_starlike((4, 4, 2, 2, 3))
-    assert sigma_graph(tree) == 8
-    assert walks == [16]  # the connectivity check; jt_locate's own rooting walk decides "tree"
-    walks.clear()
-    assert sigma_graph(cycle(5)) == 2
-    assert walks == [5]
-    walks.clear()
-    assert classify(Graph(5, [(1, 2), (3, 4)])) == "forest"
-    assert walks == [5]
 
 
 @settings(max_examples=60, deadline=None)
