@@ -45,7 +45,7 @@ from .spectra import (
     sigma_count,
     sym_eigenvalues,
 )
-from .treecount import _berkowitz, jt_locate, sigma_tree
+from .treecount import _laplacian_charpoly, jt_locate, sigma_tree
 
 # Fixed tolerances, each recorded in its claim's report (laplacian_charpoly is
 # exact and needs none): RESIDUAL_TOL for the replacement, path-replacement,
@@ -559,10 +559,11 @@ def odd_branch_experiment(max_n: int = 40) -> CheckReport:
 
 
 def laplacian_charpoly(g: Graph) -> tuple[int, ...]:
-    """Coefficients (leading first) of det(xI - L) as exact integers, by
-    division-free Berkowitz on the sparse Laplacian; the tolerance-free
-    oracle for cospectrality."""
-    return _berkowitz(g.degrees(), g.adjacency)
+    """Coefficients (leading first) of det(xI - L) as exact integers; the
+    tolerance-free oracle for cospectrality. Forests and graphs with one
+    cycle take one big-integer determinant, others division-free Berkowitz
+    (see lapeq.treecount)."""
+    return _laplacian_charpoly(g)
 
 
 _BUDGETS = {

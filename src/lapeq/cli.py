@@ -204,6 +204,10 @@ def _verify_family(c, a):
     return [c.check_family(a.ell, a.gamma, placement)]
 
 
+# Default --max-n of the energy and sigma sweeps; the option itself defaults
+# to None, so that cmd_verify can tell it apart from a --branches instance.
+SWEEP_MAX_N = 20
+
 # claim -> its reports from the checks module c; path-replacement, energy and
 # sigma check the single --branches/--k instance when both are given, else
 # their default sweep
@@ -217,12 +221,12 @@ _VERIFY = {
     "energy": lambda c, a: [
         c.check_energy_equality(parse_branches(a.branches), a.k)
         if a.branches is not None
-        else c.energy_sweep(max_n=a.max_n)
+        else c.energy_sweep(max_n=SWEEP_MAX_N if a.max_n is None else a.max_n)
     ],
     "sigma": lambda c, a: [
         c.check_sigma(parse_branches(a.branches), a.k)
         if a.branches is not None
-        else c.sigma_sweep(max_n=a.max_n)
+        else c.sigma_sweep(max_n=SWEEP_MAX_N if a.max_n is None else a.max_n)
     ],
     "family": _verify_family,
     "trig": lambda c, a: [c.check_trig_identity(a.kmax)],
@@ -238,6 +242,8 @@ def cmd_verify(args) -> int:
         raise ValueError("--k is required with --branches")
     if k is not None and branches is None:
         raise ValueError("--branches is required with --k")
+    if branches is not None and getattr(args, "max_n", None) is not None:
+        raise ValueError("--max-n cannot be combined with --branches")
     reports = _VERIFY[args.claim](checks, args)
     print(checks.format_report_table(reports))
     out = args.report or os.path.join(_outdir(), f"verify_{args.claim}.json")
@@ -299,12 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     v_energy = vsub.add_parser("energy", help="cross edge preserves Laplacian energy")
     v_energy.add_argument("--branches", help="single instance (with --k); default sweeps n <= max-n")
     v_energy.add_argument("--k", type=int)
-    v_energy.add_argument("--max-n", type=int, default=20, dest="max_n")
+    v_energy.add_argument("--max-n", type=int, dest="max_n")
 
     v_sigma = vsub.add_parser("sigma", help="eigenvalues at/above average degree number n/2")
     v_sigma.add_argument("--branches", help="single instance (with --k); default sweeps n <= max-n")
     v_sigma.add_argument("--k", type=int)
-    v_sigma.add_argument("--max-n", type=int, default=20, dest="max_n")
+    v_sigma.add_argument("--max-n", type=int, dest="max_n")
 
     v_fam = vsub.add_parser("family", help="equal energies, pairwise noncospectral")
     v_fam.add_argument("--ell", type=int, required=True)

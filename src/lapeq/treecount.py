@@ -1,5 +1,5 @@
 """The exact-arithmetic module: Jacobs-Trevisan eigenvalue counting on trees
-and the Berkowitz characteristic polynomial, in integers, with no float code.
+and the Laplacian characteristic polynomial, in integers, with no float code.
 
 One pass over a rooted tree decides, for a rational shift alpha = s/q
 (q > 0), how many Laplacian eigenvalues lie above, at, and below alpha
@@ -14,6 +14,16 @@ least zero child becomes (2, 1), and v is detached from its parent. The
 signs of the final pairs are the eigenvalue counts; `JTResult.final_values`
 reduces them to `Fraction`s on first access. The float counts, such as sigma
 of a graph with a cycle, belong to `spectra`.
+
+The characteristic polynomial det(xI - L) has two kernels, picked by the
+cyclomatic number m - n + c (c components) that `_laplacian_charpoly` takes
+from its own walk. At 0 or 1 (forests, and graphs with one cycle),
+`_kronecker_charpoly` evaluates the single integer det(XI - L) at X = 2^b
+by the same pair recurrence, which folds every tree into the cycle (if
+any), then expands the cycle; the coefficients are its base-2^b digits. The
+slot width b comes from sum |c_k| = prod(1 + mu_i) <= ((n + 2m)/n)^n.
+Graphs with two or more independent cycles go to division-free Berkowitz
+(`_berkowitz`).
 """
 
 from __future__ import annotations
@@ -22,8 +32,10 @@ import functools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import prod
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph, average_degree
 
@@ -60,6 +72,27 @@ def _as_exact(alpha) -> Fraction:
     return Fraction(alpha)
 
 
+def _walk(adj: Sequence[Sequence[int]], roots: Iterable[int], parent: list[int]) -> list[int]:
+    """The vertices reached from each root not reached yet, every parent before
+    its children. parent holds -1 for a vertex not reached yet; the walk sets
+    it to the vertex's parent, 0 for a root, so its edges (v, parent[v]) form
+    a spanning forest of what it reached."""
+    order: list[int] = []
+    for root in roots:
+        if parent[root] >= 0:
+            continue
+        parent[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for w in adj[v]:
+                if parent[w] < 0:
+                    parent[w] = v
+                    stack.append(w)
+    return order
+
+
 def jt_locate(g: Graph, alpha, root: int = 1) -> JTResult:
     """Count Laplacian eigenvalues of a tree above / at / below a rational alpha."""
     n = g.n
@@ -67,17 +100,8 @@ def jt_locate(g: Graph, alpha, root: int = 1) -> JTResult:
         raise ValueError(f"root {root} out of range 1..{n}")
 
     adj = g.adjacency
-    parent = [-1] * (n + 1)  # -1: not reached yet; the root's parent is 0
-    parent[root] = 0
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                stack.append(w)
+    parent = [-1] * (n + 1)
+    order = _walk(adj, (root,), parent)
     # connected with n - 1 edges: the walk from the root decides "tree"
     if len(order) != n or g.num_edges != n - 1:
         raise ValueError("input graph is not a tree")
@@ -147,3 +171,115 @@ def _berkowitz(diagonal: Sequence[int], adjacency: Sequence[Sequence[int]]) -> t
         col = col[r::-1]
         poly = [sum(map(mul, col[r - k:], poly)) for k in range(r + 1)]
     return tuple(poly)
+
+
+def _laplacian_charpoly(g: Graph) -> tuple[int, ...]:
+    """Coefficients (leading first) of det(xI - L(g)) as exact integers. One
+    walk counts the components c; a graph with cyclomatic number m - n + c of
+    0 or 1 goes to _kronecker_charpoly, any other to _berkowitz."""
+    n, adj = g.n, g.adjacency
+    parent = [-1] * (n + 1)
+    order = _walk(adj, range(1, n + 1), parent)
+    cyclomatic = g.num_edges - n + parent.count(0)  # a root's parent is 0
+    if cyclomatic > 1:
+        return _berkowitz(tuple(map(len, adj[1:])), adj)
+    cycle: list[int] = []
+    if cyclomatic:
+        # walk again from a vertex of the cycle, so that the rest of its
+        # component hangs from the cycle
+        start = _cycle(g.edges, parent)[0]
+        parent = [-1] * (n + 1)
+        order = _walk(adj, chain((start,), range(1, n + 1)), parent)
+        cycle = _cycle(g.edges, parent)
+    return _kronecker_charpoly(adj, order, parent, cycle)
+
+
+def _cycle(edges: Iterable[tuple[int, int]], parent: Sequence[int]) -> list[int]:
+    """The one cycle of a graph whose walk forest misses exactly one edge uv:
+    the vertices u, ..., v along the forest path, which uv closes."""
+    u, v = next((a, b) for a, b in edges if parent[a] != b and parent[b] != a)
+    up = [u]  # u and its ancestors
+    while parent[up[-1]]:
+        up.append(parent[up[-1]])
+    depth = {w: i for i, w in enumerate(up)}
+    down = [v]  # v and its ancestors below the meeting point
+    while down[-1] not in depth:
+        down.append(parent[down[-1]])
+    return up[: depth[down.pop()] + 1] + down[::-1]
+
+
+def _kronecker_charpoly(
+    adj: Sequence[Sequence[int]], order: Sequence[int], parent: Sequence[int], cycle: Sequence[int]
+) -> tuple[int, ...]:
+    """chi(x) = det(xI - L) of a graph with at most one cycle, from the single
+    integer chi(X) at X = 2^b (Kronecker substitution). order and parent are
+    a walk of the graph; cycle is empty for a forest, or else the cycle's
+    vertices in order, and the walk starts on it, so that every other vertex
+    of its component hangs from a cycle vertex.
+
+    One pass of the pair recurrence, started at (X - deg v, 1), absorbs each
+    vertex off the cycle into its parent; the roots it reaches are the other
+    components, whose determinants multiply. Each cycle vertex w keeps
+    (N_w, D_w): the determinant of the tree hanging from it, and of that tree
+    without w. Expanding the cycle w_1 ... w_k by its edge w_k w_1 then gives
+    K(w_1..w_k) - D_1 D_k K(w_2..w_(k-1)) + 2 (-1)^(k+1) D_1 ... D_k, with K
+    the scaled path determinant of _path_det.
+
+    Slot width: with mu_i >= 0 and sum mu_i = 2m, sum |c_k| = prod(1 + mu_i)
+    <= ((n + 2m) / n)^n by AM-GM, so every coefficient is a balanced digit of
+    b = bit_length of that bound plus one bit, rounded up to whole bytes."""
+    n = len(adj) - 1
+    m = sum(map(len, adj)) // 2
+    bound = -(-(n + 2 * m) ** n // n**n)
+    b = -(-(bound.bit_length() + 1) // 8) * 8
+    num = [(1 << b) - len(nbrs) for nbrs in adj]
+    den = [1] * (n + 1)
+    on_cycle = set(cycle)
+    roots = []
+    for v in reversed(order):
+        if v in on_cycle:
+            continue
+        p = parent[v]
+        if p:
+            num[p], den[p] = num[p] * num[v] - den[v] * den[p], den[p] * num[v]
+        else:
+            roots.append(num[v])
+    value = prod(roots)
+    if cycle:
+        pairs = [(num[w], den[w]) for w in cycle]
+        value *= (
+            _path_det(pairs)
+            - den[cycle[0]] * den[cycle[-1]] * _path_det(pairs[1:-1])
+            + (2 if len(cycle) % 2 else -2) * prod(den[w] for w in cycle)
+        )
+    return _kronecker_digits(value, n, b)
+
+
+def _path_det(pairs: Sequence[tuple[int, int]]) -> int:
+    """K_j = det of the path with diagonal N_1/D_1, ..., N_j/D_j and ones off
+    the diagonal, times D_1 ... D_j, for the last j, by the division-free
+    continuant K_j = N_j K_(j-1) - D_j D_(j-1) K_(j-2) (K_0 = 1, K_(-1) = 0)."""
+    before, k, d = 0, 1, 1
+    for nw, dw in pairs:
+        before, k, d = k, nw * k - dw * d * before, dw
+    return k
+
+
+def _kronecker_digits(value: int, n: int, b: int) -> tuple[int, ...]:
+    """The coefficients c_n, ..., c_0 of value = sum c_k 2^(bk), each read as a
+    balanced digit, |c_k| < 2^(b-1), in one pass: adding 2^(b-1) to every
+    slot makes each digit a plain byte string of b/8 bytes. Raises
+    ArithmeticError unless c_n = 1 and nothing is left above it, which an
+    over-wide digit carrying or borrowing into the top slot would break."""
+    width = b // 8
+    half = 1 << (b - 1)
+    shifted = value + int.from_bytes(half.to_bytes(width, "little") * (n + 1), "little")
+    if not 0 <= shifted >> (b * n) < 1 << b:
+        raise ArithmeticError(f"value does not fit {n + 1} slots of {b} bits")
+    raw = shifted.to_bytes(width * (n + 1), "little")
+    coeffs = tuple(
+        int.from_bytes(raw[i : i + width], "little") - half for i in range(width * n, -1, -width)
+    )
+    if coeffs[0] != 1:
+        raise ArithmeticError(f"leading coefficient {coeffs[0]} is not 1: {b} bits are too few")
+    return coeffs

@@ -402,6 +402,14 @@ def test_verify_k_requires_branches(claim, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("claim", ["energy", "sigma"])
+def test_verify_max_n_with_branches_is_an_input_error(claim, tmp_path, capsys):
+    argv = ["verify", claim, "--branches", "4,4,2,2,3", "--k", "2", "--max-n", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --max-n cannot be combined with --branches\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("claim", ["path-replacement", "energy", "sigma"])
 def test_verify_empty_branches_is_an_input_error(claim, tmp_path, capsys):
     assert main(["verify", claim, "--branches", "", "--k", "2"]) == 2
@@ -512,6 +520,7 @@ def test_commands_import_only_what_they_run(tmp_path):
         "assert lapeq.treecount.sigma_tree(path(5)) == 2\n"
         "p4 = path(4)\n"
         "assert lapeq.treecount._berkowitz(p4.degrees(), p4.adjacency) == (1, -6, 10, -4, 0)\n"
+        "assert lapeq.treecount._laplacian_charpoly(p4) == (1, -6, 10, -4, 0)\n"
     )
     assert "numpy" not in loaded and "lapeq.spectra" not in loaded
 

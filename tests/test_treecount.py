@@ -5,11 +5,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lapeq.treecount
 from lapeq.checks import laplacian_charpoly, random_tree
 from lapeq.construct import StarlikeSpec, build_starlike, family_branches
 from lapeq.graphs import Graph, average_degree, cycle, path, star
 from lapeq.spectra import laplacian_spectrum, sigma_count
-from lapeq.treecount import JTResult, jt_locate, sigma_tree
+from lapeq.treecount import (
+    JTResult,
+    _berkowitz,
+    _kronecker_digits,
+    _laplacian_charpoly,
+    jt_locate,
+    sigma_tree,
+)
 
 
 def reference_jt(g, alpha, root):
@@ -193,3 +201,100 @@ def test_matches_fraction_reference(data, n):
         assert isinstance(x, Fraction)
         assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
 
+
+# --- characteristic polynomial: the Kronecker kernel against Berkowitz ----------
+
+
+def berkowitz_charpoly(g):
+    return _berkowitz(g.degrees(), g.adjacency)
+
+
+@st.composite
+def one_cycle_at_most(draw):
+    """A relabelled graph of one of four shapes: a forest (isolated vertices
+    included), a tree, a connected unicyclic graph, or one cycle plus a
+    forest. Each vertex after the cycle hangs from an earlier one, or, where
+    the shape allows, starts a component of its own."""
+    shape = draw(st.sampled_from(["forest", "tree", "unicyclic", "cycle-plus-forest"]))
+    cyclic = shape in ("unicyclic", "cycle-plus-forest")
+    connected = shape in ("tree", "unicyclic")
+    n = draw(st.integers(3 if cyclic else 1, 16))
+    k = draw(st.integers(3, n)) if cyclic else 1
+    edges = [(i, i % k + 1) for i in range(1, k + 1)] if cyclic else []
+    for v in range(k + 1, n + 1):
+        u = draw(st.integers(1 if connected else 0, v - 1))
+        if u:
+            edges.append((u, v))
+    labels = draw(st.permutations(range(1, n + 1)))
+    return Graph(n, [(labels[u - 1], labels[v - 1]) for u, v in edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=one_cycle_at_most())
+def test_kronecker_charpoly_matches_berkowitz(g):
+    assert _laplacian_charpoly(g) == berkowitz_charpoly(g)
+
+
+def _triangle_with_pendants(n):
+    """A triangle on 1, 2, 3 with n - 3 pendant vertices on vertex 1."""
+    return Graph(n, [(1, 2), (2, 3), (1, 3)] + [(1, v) for v in range(4, n + 1)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph(1), Graph(9), star(2), star(17), cycle(3), cycle(4), cycle(25),
+     _triangle_with_pendants(3), _triangle_with_pendants(20)],
+    ids=["single-vertex", "edgeless", "star-2", "star-17", "cycle-3", "cycle-4",
+         "cycle-25", "triangle", "triangle-17-pendants"],
+)
+def test_kronecker_charpoly_extremes(g):
+    assert _laplacian_charpoly(g) == berkowitz_charpoly(g)
+
+
+def _refuse(*args):
+    raise AssertionError("wrong kernel")
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),  # K4
+        Graph(6, [(1, 3), (3, 2), (1, 4), (4, 2), (1, 5), (5, 6), (6, 2)]),  # theta
+        Graph(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]),  # two triangles, one isolated
+    ],
+    ids=["K4", "theta", "two-triangles"],
+)
+def test_two_independent_cycles_take_berkowitz(g, monkeypatch):
+    expected = berkowitz_charpoly(g)
+    monkeypatch.setattr(lapeq.treecount, "_kronecker_charpoly", _refuse)
+    assert _laplacian_charpoly(g) == expected
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path(6),
+        Graph(5, [(2, 4)]),  # a forest of four components
+        cycle(5),
+        Graph(6, [(1, 2), (2, 3), (1, 3), (5, 6)]),  # m - n + 1 = -1, but one cycle
+    ],
+    ids=["path", "sparse-forest", "cycle", "triangle-plus-forest"],
+)
+def test_at_most_one_cycle_skips_berkowitz(g, monkeypatch):
+    expected = berkowitz_charpoly(g)
+    monkeypatch.setattr(lapeq.treecount, "_berkowitz", _refuse)
+    assert _laplacian_charpoly(g) == expected
+
+
+def test_kronecker_decode_refuses_over_wide_digits():
+    x = 1 << 8  # slots of b = 8 bits hold the balanced digits -128..127
+    assert _kronecker_digits(x**2 + 127 * x - 128, 2, 8) == (1, 127, -128)
+    # 128 carries into the top slot, which would read (2, -128, 0)
+    with pytest.raises(ArithmeticError, match="leading coefficient 2"):
+        _kronecker_digits(x**2 + 128 * x, 2, 8)
+    # -129 borrows from it, which would read (0, 127, 0)
+    with pytest.raises(ArithmeticError, match="leading coefficient 0"):
+        _kronecker_digits(x**2 - 129 * x, 2, 8)
+    # a digit above the n + 1 slots is left over
+    with pytest.raises(ArithmeticError, match="does not fit 3 slots"):
+        _kronecker_digits(x**3 + x**2, 2, 8)
