@@ -193,13 +193,19 @@ def check_energy_equality(spec: StarlikeSpec | Iterable[int], k: int) -> CheckRe
     return CheckReport("energy", resid <= RESIDUAL_TOL, RESIDUAL_TOL, evidence)
 
 
+def _sigmas(tree: Graph, companion: Graph) -> tuple[int, int]:
+    """sigma of a tree, counted exactly, and of its cross-edge companion,
+    counted on the companion's dense spectrum within SPECTRUM_TOL."""
+    spec = laplacian_spectrum(companion)
+    return sigma_tree(tree), sigma_count(spec, float(average_degree(companion)))
+
+
 def check_sigma(spec: StarlikeSpec | Iterable[int], k: int) -> CheckReport:
     """Both the tree and its cross-edge companion have exactly n/2 Laplacian
     eigenvalues at or above their average degree: exactly counted on the
     tree, and counted on the companion's dense spectrum within SPECTRUM_TOL."""
     g, g2, evidence = _tree_and_companion(spec, k)
-    s_tree = sigma_tree(g)
-    s_uni = sigma_count(laplacian_spectrum(g2), float(average_degree(g2)))
+    s_tree, s_uni = _sigmas(g, g2)
     half_n = g.n // 2
     evidence.update(sigma_tree=s_tree, sigma_unicyclic=s_uni, half_n=half_n)
     return CheckReport("sigma", s_tree == s_uni == half_n, SPECTRUM_TOL, evidence)
@@ -535,10 +541,8 @@ def odd_branch_experiment(max_n: int = 40) -> CheckReport:
             if odd < 1 or odd % 2 == 0 or 2 * odd < n:
                 continue
             branches = (k, k, odd)
-            g = spider(branches)
-            g2 = g.add_edges([cross_edge(branches, k)])
-            s_tree = sigma_tree(g)
-            s_uni = sigma_count(laplacian_spectrum(g2), float(average_degree(g2)))
+            g = spider(branches)  # no StarlikeSpec: these break its odd < n/2 rule
+            s_tree, s_uni = _sigmas(g, g.add_edges([cross_edge(branches, k)]))
             match = s_tree == s_uni == n // 2
             holds += match
             observations.append(
@@ -569,8 +573,7 @@ def laplacian_charpoly(g: Graph) -> tuple[int, ...]:
 _BUDGETS = {
     "small": {
         "replacement_count": 50,
-        "energy_max_n": 20,
-        "sigma_max_n": 20,
+        "starlike_max_n": 20,
         "family_ells": (2, 3),
         "family_gammas": (1, 2),
         "trig_k_max": 200,
@@ -581,8 +584,7 @@ _BUDGETS = {
     },
     "full": {
         "replacement_count": 500,
-        "energy_max_n": 30,
-        "sigma_max_n": 30,
+        "starlike_max_n": 30,
         "family_ells": (2, 3, 4, 5),
         "family_gammas": (1, 2, 3),
         "trig_k_max": 1000,
@@ -602,8 +604,8 @@ def run_all(seed: int = 7, budget: str = "small", experiments: bool = False) -> 
     reports = [
         replacement_suite(count=b["replacement_count"], seed=seed),
         path_replacement_examples(),
-        energy_sweep(max_n=b["energy_max_n"]),
-        sigma_sweep(max_n=b["sigma_max_n"]),
+        energy_sweep(max_n=b["starlike_max_n"]),
+        sigma_sweep(max_n=b["starlike_max_n"]),
         family_sweep(ells=b["family_ells"], gammas=b["family_gammas"]),
         check_trig_identity(b["trig_k_max"]),
         jt_oracle_suite(count=b["jt_count"], seed=seed, max_n=b["jt_max_n"]),

@@ -244,6 +244,8 @@ def cmd_verify(args) -> int:
         raise ValueError("--branches is required with --k")
     if branches is not None and getattr(args, "max_n", None) is not None:
         raise ValueError("--max-n cannot be combined with --branches")
+    if branches is not None:  # the single instance's tree is solved densely
+        check_dense_order(1 + sum(parse_branches(branches)))
     reports = _VERIFY[args.claim](checks, args)
     print(checks.format_report_table(reports))
     out = args.report or os.path.join(_outdir(), f"verify_{args.claim}.json")

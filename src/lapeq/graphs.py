@@ -1,4 +1,9 @@
-"""Simple undirected graphs on labeled vertices 1..n, plus Laplacian matrices."""
+"""Simple undirected graphs on labeled vertices 1..n, plus Laplacian matrices.
+
+The structure queries and `treecount` share one walk, `_walk`, which records
+each vertex's parent: components are its runs, c is its number of roots, and
+`_cycle` reads the one cycle off the one edge its forest misses.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ import bisect
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -131,54 +136,67 @@ def average_degree(g: Graph) -> Fraction:
     return Fraction(2 * g.num_edges, g.n)
 
 
-def connected_components(g: Graph) -> list[set[int]]:
-    adj = g.adjacency
-    seen: set[int] = set()
-    parts: list[set[int]] = []
-    for start in range(1, g.n + 1):
-        if start in seen:
+def _walk(adj: Sequence[Sequence[int]], roots: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The vertices reached from each root not reached yet, every parent before
+    its children, and each vertex's parent: 0 for a root, -1 for a vertex not
+    reached. The edges (v, parent[v]) form a spanning forest of what the walk
+    reached, and each tree of it is one contiguous run of the order."""
+    parent = [-1] * len(adj)
+    order: list[int] = []
+    for root in roots:
+        if parent[root] >= 0:
             continue
-        part, stack = {start}, [start]
+        parent[root] = 0
+        stack = [root]
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in part:
-                    part.add(w)
+            v = stack.pop()
+            order.append(v)
+            for w in adj[v]:
+                if parent[w] < 0:
+                    parent[w] = v
                     stack.append(w)
-        seen |= part
-        parts.append(part)
-    return parts
+    return order, parent
+
+
+def _cycle(edges: Iterable[Edge], parent: Sequence[int]) -> list[int]:
+    """The one cycle of a graph whose walk forest misses exactly one edge uv:
+    the vertices u, ..., v along the forest path, which uv closes."""
+    u, v = next((a, b) for a, b in edges if parent[a] != b and parent[b] != a)
+    up = [u]  # u and its ancestors
+    while parent[up[-1]]:
+        up.append(parent[up[-1]])
+    depth = {w: i for i, w in enumerate(up)}
+    down = [v]  # v and its ancestors below the meeting point
+    while down[-1] not in depth:
+        down.append(parent[down[-1]])
+    return up[: depth[down.pop()] + 1] + down[::-1]
+
+
+def connected_components(g: Graph) -> list[set[int]]:
+    """Vertex sets of the components, by least vertex: the runs of one walk
+    over 1..n, split at its roots."""
+    order, parent = _walk(g.adjacency, range(1, g.n + 1))
+    starts = [i for i, v in enumerate(order) if not parent[v]] + [g.n]
+    return [set(order[a:b]) for a, b in zip(starts, starts[1:])]
 
 
 def classify(g: Graph) -> str:
-    """One of "tree", "unicyclic", "forest", "other"."""
-    parts = len(connected_components(g))
-    if parts == 1 and g.num_edges == g.n - 1:
-        return "tree"
-    if parts == 1 and g.num_edges == g.n:
-        return "unicyclic"
-    # acyclic iff every component is a tree, i.e. e = n - #components
-    if parts > 1 and g.num_edges == g.n - parts:
-        return "forest"
-    return "other"
+    """One of "tree", "unicyclic", "forest", "other", from the component count
+    c of one walk and the cyclomatic number m - n + c."""
+    c = _walk(g.adjacency, range(1, g.n + 1))[1].count(0)  # a root's parent is 0
+    cyclomatic = g.num_edges - g.n + c
+    if not cyclomatic:
+        return "tree" if c == 1 else "forest"
+    return "unicyclic" if cyclomatic == 1 and c == 1 else "other"
 
 
 def unique_cycle_length(g: Graph) -> int:
-    """Length of the single cycle of a unicyclic graph (strip leaves until none remain)."""
-    if classify(g) != "unicyclic":
+    """Length of the single cycle of a connected graph with n edges: the one
+    edge its walk forest misses closes it."""
+    parent = _walk(g.adjacency, range(1, g.n + 1))[1]
+    if parent.count(0) != 1 or g.num_edges != g.n:
         raise ValueError("graph is not unicyclic")
-    degs = list(g.degrees())
-    alive = set(range(1, g.n + 1))
-    adj = g.adjacency
-    queue = [v for v in alive if degs[v - 1] == 1]
-    while queue:
-        v = queue.pop()
-        alive.discard(v)
-        for w in adj[v]:
-            if w in alive:
-                degs[w - 1] -= 1
-                if degs[w - 1] == 1:
-                    queue.append(w)
-    return len(alive)
+    return len(_cycle(g.edges, parent))
 
 
 # --- plain-text formats ---------------------------------------------------

@@ -1,29 +1,32 @@
 """The exact-arithmetic module: Jacobs-Trevisan eigenvalue counting on trees
 and the Laplacian characteristic polynomial, in integers, with no float code.
 
-One pass over a rooted tree decides, for a rational shift alpha = s/q
-(q > 0), how many Laplacian eigenvalues lie above, at, and below alpha
-(Jacobs & Trevisan). Each vertex v carries the value a(v) = num/den as an
-unreduced integer pair, scaled by q: it starts at (q*deg(v) - s, q), and a
-child c with pair (num_c, den_c) turns it into
+Both rest on one pair recurrence, `_fold`, run over a walk from
+`graphs._walk`. Each vertex v carries the value a(v) = num/den as an
+unreduced integer pair, and a child c with pair (num_c, den_c) turns it into
 (num*num_c - den_c*den, den*num_c), which is a(v) - 1/a(c). Without a zero
-on the way, num is det(q(L - alpha I)) on the subtree of v and den is q
-times the product of its children's determinants, so no gcd is ever taken.
-A zero child (num_c == 0) forces the special step: v becomes (-1, 2), the
-least zero child becomes (2, 1), and v is detached from its parent. The
-signs of the final pairs are the eigenvalue counts; `JTResult.final_values`
-reduces them to `Fraction`s on first access. The float counts, such as sigma
-of a graph with a cycle, belong to `spectra`.
+on the way, num is the determinant of the shifted matrix on the subtree of
+v and den the product of its children's, so no gcd is ever taken. A zero
+child (num_c == 0) forces the special step: v becomes (-1, 2), the least
+zero child becomes (2, 1), and v is detached from its parent.
+
+`jt_locate` decides, for a rational shift alpha = s/q (q > 0), how many
+Laplacian eigenvalues of a tree lie above, at, and below alpha (Jacobs &
+Trevisan): each pair starts at (q*deg(v) - s, q), so num is
+det(q(L - alpha I)) on a subtree, and the signs of the final pairs are the
+counts. `JTResult.final_values` reduces them to `Fraction`s on first
+access. The float counts, such as sigma of a graph with a cycle, belong to
+`spectra`.
 
 The characteristic polynomial det(xI - L) has two kernels, picked by the
 cyclomatic number m - n + c (c components) that `_laplacian_charpoly` takes
-from its own walk. At 0 or 1 (forests, and graphs with one cycle),
-`_kronecker_charpoly` evaluates the single integer det(XI - L) at X = 2^b
-by the same pair recurrence, which folds every tree into the cycle (if
-any), then expands the cycle; the coefficients are its base-2^b digits. The
-slot width b comes from sum |c_k| = prod(1 + mu_i) <= ((n + 2m)/n)^n.
-Graphs with two or more independent cycles go to division-free Berkowitz
-(`_berkowitz`).
+from its walk. At 0 or 1 (forests, and graphs with one cycle),
+`_kronecker_charpoly` evaluates the single integer det(XI - L) at X = 2^b:
+`_fold` folds every tree into the cycle vertex it hangs from (or into its
+root), then a continuant expands the cycle; the coefficients are the
+base-2^b digits. The slot width b comes from
+sum |c_k| = prod(1 + mu_i) <= ((n + 2m)/n)^n. Graphs with two or more
+independent cycles go to division-free Berkowitz (`_berkowitz`).
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from fractions import Fraction
 from itertools import chain
 from math import prod
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .graphs import Graph, average_degree
+from .graphs import Graph, _cycle, _walk, average_degree
 
 
 @dataclass(frozen=True)
@@ -72,25 +75,31 @@ def _as_exact(alpha) -> Fraction:
     return Fraction(alpha)
 
 
-def _walk(adj: Sequence[Sequence[int]], roots: Iterable[int], parent: list[int]) -> list[int]:
-    """The vertices reached from each root not reached yet, every parent before
-    its children. parent holds -1 for a vertex not reached yet; the walk sets
-    it to the vertex's parent, 0 for a root, so its edges (v, parent[v]) form
-    a spanning forest of what it reached."""
-    order: list[int] = []
-    for root in roots:
-        if parent[root] >= 0:
-            continue
-        parent[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for w in adj[v]:
-                if parent[w] < 0:
-                    parent[w] = v
-                    stack.append(w)
-    return order
+def _fold(
+    order: Sequence[int], parent: Sequence[int], num: list[int], den: list[int]
+) -> set[tuple[int, int]]:
+    """Fold each vertex of a walk into its parent by the pair recurrence and
+    its zero rule, in place, and return the cut edges; a vertex with parent 0
+    is folded into nothing."""
+    zero_kid = [0] * len(num)  # least child whose final num is 0
+    cut: set[tuple[int, int]] = set()
+    # children come after their parent in order, so each vertex is final
+    # when reached here and is then absorbed into its parent
+    for v in reversed(order):
+        p = parent[v]
+        z = zero_kid[v]
+        if z:  # detached: the parent does not see v
+            num[v], den[v] = -1, 2
+            num[z], den[z] = 2, 1
+            if p:
+                cut.add((v, p) if v < p else (p, v))
+        elif p:
+            nv = num[v]
+            if nv:
+                num[p], den[p] = num[p] * nv - den[v] * den[p], den[p] * nv
+            elif not zero_kid[p] or v < zero_kid[p]:
+                zero_kid[p] = v
+    return cut
 
 
 def jt_locate(g: Graph, alpha, root: int = 1) -> JTResult:
@@ -100,8 +109,7 @@ def jt_locate(g: Graph, alpha, root: int = 1) -> JTResult:
         raise ValueError(f"root {root} out of range 1..{n}")
 
     adj = g.adjacency
-    parent = [-1] * (n + 1)
-    order = _walk(adj, (root,), parent)
+    order, parent = _walk(adj, (root,))
     # connected with n - 1 edges: the walk from the root decides "tree"
     if len(order) != n or g.num_edges != n - 1:
         raise ValueError("input graph is not a tree")
@@ -111,26 +119,7 @@ def jt_locate(g: Graph, alpha, root: int = 1) -> JTResult:
     num = [q * len(nbrs) - s for nbrs in adj]
     num[0] = 0
     den = [q] * (n + 1)
-    zero_kid = [0] * (n + 1)  # least child whose final num is 0
-    cut: set[tuple[int, int]] = set()
-    # children come after their parent in order, so each vertex is final
-    # when reached here and is then absorbed into its parent
-    for v in reversed(order):
-        p = parent[v]
-        z = zero_kid[v]
-        if z:
-            num[v], den[v] = -1, 2
-            num[z], den[z] = 2, 1
-            if p:
-                cut.add((v, p) if v < p else (p, v))
-            continue  # detached: the parent does not see v
-        if not p:
-            continue
-        nv = num[v]
-        if nv:
-            num[p], den[p] = num[p] * nv - den[v] * den[p], den[p] * nv
-        elif not zero_kid[p] or v < zero_kid[p]:
-            zero_kid[p] = v
+    cut = _fold(order, parent, num, den)
 
     equal = num.count(0) - 1  # entry 0 is not a vertex
     above = sum(1 for a, b in zip(num, den) if a and (a > 0) == (b > 0))
@@ -178,8 +167,7 @@ def _laplacian_charpoly(g: Graph) -> tuple[int, ...]:
     walk counts the components c; a graph with cyclomatic number m - n + c of
     0 or 1 goes to _kronecker_charpoly, any other to _berkowitz."""
     n, adj = g.n, g.adjacency
-    parent = [-1] * (n + 1)
-    order = _walk(adj, range(1, n + 1), parent)
+    order, parent = _walk(adj, range(1, n + 1))
     cyclomatic = g.num_edges - n + parent.count(0)  # a root's parent is 0
     if cyclomatic > 1:
         return _berkowitz(tuple(map(len, adj[1:])), adj)
@@ -188,38 +176,25 @@ def _laplacian_charpoly(g: Graph) -> tuple[int, ...]:
         # walk again from a vertex of the cycle, so that the rest of its
         # component hangs from the cycle
         start = _cycle(g.edges, parent)[0]
-        parent = [-1] * (n + 1)
-        order = _walk(adj, chain((start,), range(1, n + 1)), parent)
+        order, parent = _walk(adj, chain((start,), range(1, n + 1)))
         cycle = _cycle(g.edges, parent)
     return _kronecker_charpoly(adj, order, parent, cycle)
 
 
-def _cycle(edges: Iterable[tuple[int, int]], parent: Sequence[int]) -> list[int]:
-    """The one cycle of a graph whose walk forest misses exactly one edge uv:
-    the vertices u, ..., v along the forest path, which uv closes."""
-    u, v = next((a, b) for a, b in edges if parent[a] != b and parent[b] != a)
-    up = [u]  # u and its ancestors
-    while parent[up[-1]]:
-        up.append(parent[up[-1]])
-    depth = {w: i for i, w in enumerate(up)}
-    down = [v]  # v and its ancestors below the meeting point
-    while down[-1] not in depth:
-        down.append(parent[down[-1]])
-    return up[: depth[down.pop()] + 1] + down[::-1]
-
-
 def _kronecker_charpoly(
-    adj: Sequence[Sequence[int]], order: Sequence[int], parent: Sequence[int], cycle: Sequence[int]
+    adj: Sequence[Sequence[int]], order: Sequence[int], parent: list[int], cycle: Sequence[int]
 ) -> tuple[int, ...]:
     """chi(x) = det(xI - L) of a graph with at most one cycle, from the single
     integer chi(X) at X = 2^b (Kronecker substitution). order and parent are
     a walk of the graph; cycle is empty for a forest, or else the cycle's
     vertices in order, and the walk starts on it, so that every other vertex
-    of its component hangs from a cycle vertex.
+    of its component hangs from a cycle vertex. parent is changed in place.
 
-    One pass of the pair recurrence, started at (X - deg v, 1), absorbs each
-    vertex off the cycle into its parent; the roots it reaches are the other
-    components, whose determinants multiply. Each cycle vertex w keeps
+    Each cycle vertex becomes a root, and _fold, started at (X - deg v, 1),
+    absorbs every other vertex into its parent; the roots off the cycle are
+    the other components, whose determinants multiply. The zero rule never
+    fires: each num is det(XI - L) on a principal submatrix, positive since
+    X exceeds every eigenvalue. Each cycle vertex w keeps
     (N_w, D_w): the determinant of the tree hanging from it, and of that tree
     without w. Expanding the cycle w_1 ... w_k by its edge w_k w_1 then gives
     K(w_1..w_k) - D_1 D_k K(w_2..w_(k-1)) + 2 (-1)^(k+1) D_1 ... D_k, with K
@@ -235,16 +210,10 @@ def _kronecker_charpoly(
     num = [(1 << b) - len(nbrs) for nbrs in adj]
     den = [1] * (n + 1)
     on_cycle = set(cycle)
-    roots = []
-    for v in reversed(order):
-        if v in on_cycle:
-            continue
-        p = parent[v]
-        if p:
-            num[p], den[p] = num[p] * num[v] - den[v] * den[p], den[p] * num[v]
-        else:
-            roots.append(num[v])
-    value = prod(roots)
+    for w in on_cycle:
+        parent[w] = 0  # each cycle vertex keeps the tree hanging from it
+    _fold(order, parent, num, den)
+    value = prod(num[v] for v in order if not parent[v] and v not in on_cycle)
     if cycle:
         pairs = [(num[w], den[w]) for w in cycle]
         value *= (

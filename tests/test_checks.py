@@ -207,14 +207,16 @@ def test_sigma_check():
 
 
 def test_check_sigma_walks_no_components(monkeypatch):
+    # counts the walk over all components behind connected_components,
+    # classify and unique_cycle_length; jt_locate holds its own binding
     walks = []
-    walk = lapeq.graphs.connected_components
+    walk = lapeq.graphs._walk
 
-    def counted(g):
-        walks.append(g.n)
-        return walk(g)
+    def counted(adj, roots):
+        walks.append(len(adj) - 1)
+        return walk(adj, roots)
 
-    monkeypatch.setattr(lapeq.graphs, "connected_components", counted)
+    monkeypatch.setattr(lapeq.graphs, "_walk", counted)
     assert check_sigma((4, 4, 2, 2, 3), 2).ok
     assert walks == []  # jt_locate's rooting walk decides "tree"; the companion is never walked
     assert classify(Graph(5, [(1, 2), (3, 4)])) == "forest"

@@ -338,6 +338,22 @@ def test_verify_family_dense_limit_checked_before_any_graph(monkeypatch, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("claim", ["path-replacement", "energy", "sigma"])
+def test_verify_branches_dense_limit_checked_first(claim, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(lapeq.graphs, "MAX_DENSE_ORDER", 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no tree is built past the dense limit")
+
+    for name in ("build_starlike", "spider", "starlike_mirror"):
+        monkeypatch.setattr(lapeq.checks, name, refuse)
+    assert main(["verify", claim, "--branches", "2,2,1", "--k", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: graph order 6 exceeds the dense-matrix limit of 5 vertices\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv, grid",
     [
@@ -508,6 +524,10 @@ def test_commands_import_only_what_they_run(tmp_path):
     loaded = _modules_after(
         ["jt", "path:4", "--alpha", "1"],
         ["build", "starlike", "--branches", "2,2,1", "--out", str(tmp_path / "s.edges")],
+        # classify and unique_cycle_length walk each graph without numpy
+        ["build", "family", "--ell", "2", "--outdir", str(tmp_path / "fam")],
+        ["build", "mirror", "--core", "path:3", "--host", "cycle:5", "--root", "1",
+         "--link", "001", "--cross", "001", "--out", str(tmp_path / "m.edges")],
     )
     assert "numpy" not in loaded
     assert {"lapeq.checks", "lapeq.spectra"}.isdisjoint(loaded)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import lapeq.graphs
 from lapeq.graphs import (
@@ -191,19 +191,7 @@ def test_graph_edge_invariants(edges):
     assert not g.has_edge(1, 10) and not g.has_edge(0, 1)
 
     # components against a union-find over the same edge list
-    root = list(range(10))
-
-    def find(v):
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    for u, v in edges:
-        root[find(u)] = find(v)
-    parts = connected_components(g)
-    assert sorted(map(sorted, parts)) == sorted(
-        sorted(w for w in range(1, 10) if find(w) == r) for r in {find(v) for v in range(1, 10)}
-    )
+    assert sorted(map(sorted, connected_components(g))) == sorted(union_find(9, edges)[0])
 
     # the cached adjacency is built once and cannot be changed through the graph
     assert g.adjacency is g.adjacency
@@ -212,6 +200,86 @@ def test_graph_edge_invariants(edges):
     with pytest.raises(AttributeError):
         g.adjacency = ()
     assert g == Graph(9, edges) and hash(g) == hash(Graph(9, edges))
+
+
+def union_find(n, edges):
+    """Oracle: the vertex classes of a union-find over the edges, each a sorted
+    list, and how many edges closed a cycle (joined two vertices already in
+    one class; a repeated edge counts too)."""
+    root = list(range(n + 1))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    closing = 0
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        closing += ru == rv
+        root[ru] = rv
+    classes: dict[int, list[int]] = {}
+    for v in range(1, n + 1):
+        classes.setdefault(find(v), []).append(v)
+    return list(classes.values()), closing
+
+
+@st.composite
+def forest_plus_edges(draw):
+    """A relabelled random forest, or tree, plus up to three more edges: the
+    draws cover forests, trees, one-cycle graphs and graphs with several
+    cycles, connected or not."""
+    n = draw(st.integers(1, 12))
+    connected = draw(st.booleans())
+    edges = []
+    for v in range(2, n + 1):
+        u = draw(st.integers(1 if connected else 0, v - 1))
+        if u:
+            edges.append((u, v))
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        u, v = draw(st.integers(1, n)), draw(st.integers(1, n - 1))
+        edges.append((u, v + (v >= u)))
+    labels = draw(st.permutations(range(1, n + 1)))
+    return Graph(n, [(labels[u - 1], labels[v - 1]) for u, v in edges])
+
+
+@given(g=forest_plus_edges())
+def test_structure_queries_match_union_find(g):
+    parts, closing = union_find(g.n, g.edges)
+    # one list per component, ordered by least vertex
+    assert [sorted(p) for p in connected_components(g)] == sorted(parts)
+    if not closing:
+        expected = "tree" if len(parts) == 1 else "forest"
+    else:
+        expected = "unicyclic" if closing == 1 and len(parts) == 1 else "other"
+    assert classify(g) == expected
+    if expected != "unicyclic":
+        with pytest.raises(ValueError, match="not unicyclic"):
+            unique_cycle_length(g)
+
+
+@given(data=st.data(), n=st.integers(3, 16))
+def test_cycle_length_is_tree_distance_plus_one(data, n):
+    # a random tree, each vertex hanging from an earlier one, relabelled
+    labels = data.draw(st.permutations(range(1, n + 1)))
+    tree = [(labels[data.draw(st.integers(0, v - 2))], labels[v - 1]) for v in range(2, n + 1)]
+    nbrs = {w: [] for w in range(1, n + 1)}
+    for a, b in tree:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    u = data.draw(st.integers(1, n))
+    dist, queue = {u: 0}, [u]  # breadth-first distances from u in the tree
+    for w in queue:
+        for x in nbrs[w]:
+            if x not in dist:
+                dist[x] = dist[w] + 1
+                queue.append(x)
+    far = sorted(w for w in dist if dist[w] >= 2)
+    assume(far)
+    v = data.draw(st.sampled_from(far))
+    g = Graph(n, tree + [(u, v)])
+    assert classify(g) == "unicyclic"
+    assert unique_cycle_length(g) == dist[v] + 1
 
 
 def test_order_cap_checked_before_edges_are_read(monkeypatch):
