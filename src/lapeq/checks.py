@@ -45,7 +45,7 @@ from .spectra import (
     sigma_count,
     sym_eigenvalues,
 )
-from .treecount import _laplacian_charpoly, jt_locate, sigma_tree
+from .treecount import _charpoly, jt_locate, sigma_tree
 
 # Fixed tolerances, each recorded in its claim's report (laplacian_charpoly is
 # exact and needs none): RESIDUAL_TOL for the replacement, path-replacement,
@@ -60,6 +60,8 @@ MULTIPLICITY_TOL = 1e-7
 # Core and host orders of random_mirror are drawn from 1..MAX_CORE and 1..MAX_HOST.
 MAX_CORE = 6
 MAX_HOST = 10
+# odd_branch_experiment probes every even order 6..ODD_BRANCH_MAX_N.
+ODD_BRANCH_MAX_N = 40
 
 
 @dataclass(frozen=True)
@@ -529,13 +531,13 @@ def structural_suite(count: int = 100, seed: int = 7, max_n: int = 100) -> Check
     return CheckReport("structural", not evidence["failure_count"], SPECTRUM_TOL, evidence, seed)
 
 
-def odd_branch_experiment(max_n: int = 40) -> CheckReport:
-    """Probe sigma = n/2 on starlike trees whose odd branch breaks the < n/2
-    bound (beyond proven territory); observations only, the report always
-    passes."""
+def odd_branch_experiment() -> CheckReport:
+    """Probe sigma = n/2 on starlike trees of up to ODD_BRANCH_MAX_N vertices
+    whose odd branch breaks the < n/2 bound (beyond proven territory);
+    observations only, the report always passes."""
     observations = []
     holds = 0
-    for n in range(6, max_n + 1, 2):
+    for n in range(6, ODD_BRANCH_MAX_N + 1, 2):
         for k in range(2, n, 2):
             odd = n - 1 - 2 * k
             if odd < 1 or odd % 2 == 0 or 2 * odd < n:
@@ -564,10 +566,10 @@ def odd_branch_experiment(max_n: int = 40) -> CheckReport:
 
 def laplacian_charpoly(g: Graph) -> tuple[int, ...]:
     """Coefficients (leading first) of det(xI - L) as exact integers; the
-    tolerance-free oracle for cospectrality. Forests and graphs with one
-    cycle take one big-integer determinant, others division-free Berkowitz
-    (see lapeq.treecount)."""
-    return _laplacian_charpoly(g)
+    tolerance-free oracle for cospectrality. treecount._charpoly with the
+    degrees on the diagonal: forests and graphs with one cycle take one
+    big-integer determinant, others division-free Berkowitz."""
+    return _charpoly(g, g.degrees())
 
 
 _BUDGETS = {

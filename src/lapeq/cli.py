@@ -105,11 +105,19 @@ def cmd_build_starlike(args) -> int:
     return 0
 
 
-def cmd_build_family(args) -> int:
-    from .construct import family_branches, write_family
+def _family_placement(a, check_limit) -> str | tuple[int, ...]:
+    """The parsed --placement, once check_limit has passed the order every
+    family graph shares, 2 ell^2 + 2 ell + 2 gamma: family_branches would
+    build the whole branch list first."""
+    if a.ell >= 2 and a.gamma >= 1:  # else family_branches names the bad value
+        check_limit(2 * a.ell * (a.ell + 1) + 2 * a.gamma)
+    return parse_placement(a.placement)
 
-    placement = parse_placement(args.placement)
-    check_order(family_branches(args.ell, args.gamma, placement).n)
+
+def cmd_build_family(args) -> int:
+    from .construct import write_family
+
+    placement = _family_placement(args, check_order)
     tag = placement if isinstance(placement, str) else "-".join(map(str, placement))
     outdir = args.outdir or os.path.join(
         _outdir(), f"family_ell{args.ell}_gamma{args.gamma}_{tag}"
@@ -196,12 +204,8 @@ def cmd_jt(args) -> int:
 
 
 def _verify_family(c, a):
-    """check_family, once the base tree's order (every member's) passes the dense limit."""
-    from .construct import family_branches
-
-    placement = parse_placement(a.placement)
-    check_dense_order(family_branches(a.ell, a.gamma, placement).n)
-    return [c.check_family(a.ell, a.gamma, placement)]
+    """check_family, once the family's order passes the dense limit."""
+    return [c.check_family(a.ell, a.gamma, _family_placement(a, check_dense_order))]
 
 
 # Default --max-n of the energy and sigma sweeps; the option itself defaults

@@ -1,5 +1,6 @@
 """The exact-arithmetic module: Jacobs-Trevisan eigenvalue counting on trees
-and the Laplacian characteristic polynomial, in integers, with no float code.
+and the characteristic polynomial of a graph plus an integer diagonal, in
+integers, with no float code.
 
 Both rest on one pair recurrence, `_fold`, run over a walk from
 `graphs._walk`. Each vertex v carries the value a(v) = num/den as an
@@ -18,15 +19,11 @@ counts. `JTResult.final_values` reduces them to `Fraction`s on first
 access. The float counts, such as sigma of a graph with a cycle, belong to
 `spectra`.
 
-The characteristic polynomial det(xI - L) has two kernels, picked by the
-cyclomatic number m - n + c (c components) that `_laplacian_charpoly` takes
-from its walk. At 0 or 1 (forests, and graphs with one cycle),
-`_kronecker_charpoly` evaluates the single integer det(XI - L) at X = 2^b:
-`_fold` folds every tree into the cycle vertex it hangs from (or into its
-root), then a continuant expands the cycle; the coefficients are the
-base-2^b digits. The slot width b comes from
-sum |c_k| = prod(1 + mu_i) <= ((n + 2m)/n)^n. Graphs with two or more
-independent cycles go to division-free Berkowitz (`_berkowitz`).
+`_charpoly(g, diagonal)` gives det(xI - M) for M = diag(diagonal) - A(g) and
+any integer diagonal with d_v >= deg v: the Laplacian for the degrees, and
+the path matrices H_k and F_k of the family theorem. Forests and graphs with
+one cycle take one big-integer determinant through `_fold`, all others
+division-free Berkowitz (`_berkowitz`).
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import prod
-from operator import mul
+from operator import lt, mul
 from typing import Sequence
 
 from .graphs import Graph, _cycle, _walk, average_degree
@@ -162,57 +159,49 @@ def _berkowitz(diagonal: Sequence[int], adjacency: Sequence[Sequence[int]]) -> t
     return tuple(poly)
 
 
-def _laplacian_charpoly(g: Graph) -> tuple[int, ...]:
-    """Coefficients (leading first) of det(xI - L(g)) as exact integers. One
-    walk counts the components c; a graph with cyclomatic number m - n + c of
-    0 or 1 goes to _kronecker_charpoly, any other to _berkowitz."""
+def _charpoly(g: Graph, diagonal: Sequence[int]) -> tuple[int, ...]:
+    """Coefficients (leading first) of det(xI - M) as exact integers, for
+    M = diag(diagonal) - A(g), where diagonal[v - 1] >= deg v for every v (so
+    M is diagonally dominant, hence PSD). One walk counts the components c;
+    a graph with cyclomatic number m - n + c of 2 or more goes to _berkowitz.
+
+    Otherwise chi(x) comes from the single integer chi(X) at X = 2^b
+    (Kronecker substitution). A second walk starts on the cycle, if any, so
+    that every other vertex of its component hangs from a cycle vertex. Each
+    cycle vertex becomes a root, and _fold, started at (X - d_v, 1), absorbs
+    every other vertex into its parent; the roots off the cycle are the other
+    components, whose determinants multiply. The zero rule never fires: each
+    num is det(XI - M) on a principal submatrix, positive since X exceeds
+    every eigenvalue. Each cycle vertex w keeps (N_w, D_w): the determinant
+    of the tree hanging from it, and of that tree without w. Expanding the
+    cycle w_1 ... w_k by its edge w_k w_1 then gives K(w_1..w_k) -
+    D_1 D_k K(w_2..w_(k-1)) + 2 (-1)^(k+1) D_1 ... D_k, with K the scaled
+    path determinant of _path_det.
+
+    Slot width: with mu_i >= 0 and sum mu_i = tr M, sum |c_k| = prod(1 + mu_i)
+    <= ((n + tr M) / n)^n by AM-GM, so every coefficient is a balanced digit of
+    b = bit_length of that bound plus one bit, rounded up to whole bytes."""
     n, adj = g.n, g.adjacency
+    if len(diagonal) != n or any(map(lt, diagonal, map(len, adj[1:]))):
+        raise ValueError(f"need {n} diagonal entries, each at least its vertex's degree")
     order, parent = _walk(adj, range(1, n + 1))
     cyclomatic = g.num_edges - n + parent.count(0)  # a root's parent is 0
     if cyclomatic > 1:
-        return _berkowitz(tuple(map(len, adj[1:])), adj)
+        return _berkowitz(diagonal, adj)
     cycle: list[int] = []
     if cyclomatic:
-        # walk again from a vertex of the cycle, so that the rest of its
-        # component hangs from the cycle
         start = _cycle(g.edges, parent)[0]
         order, parent = _walk(adj, chain((start,), range(1, n + 1)))
         cycle = _cycle(g.edges, parent)
-    return _kronecker_charpoly(adj, order, parent, cycle)
-
-
-def _kronecker_charpoly(
-    adj: Sequence[Sequence[int]], order: Sequence[int], parent: list[int], cycle: Sequence[int]
-) -> tuple[int, ...]:
-    """chi(x) = det(xI - L) of a graph with at most one cycle, from the single
-    integer chi(X) at X = 2^b (Kronecker substitution). order and parent are
-    a walk of the graph; cycle is empty for a forest, or else the cycle's
-    vertices in order, and the walk starts on it, so that every other vertex
-    of its component hangs from a cycle vertex. parent is changed in place.
-
-    Each cycle vertex becomes a root, and _fold, started at (X - deg v, 1),
-    absorbs every other vertex into its parent; the roots off the cycle are
-    the other components, whose determinants multiply. The zero rule never
-    fires: each num is det(XI - L) on a principal submatrix, positive since
-    X exceeds every eigenvalue. Each cycle vertex w keeps
-    (N_w, D_w): the determinant of the tree hanging from it, and of that tree
-    without w. Expanding the cycle w_1 ... w_k by its edge w_k w_1 then gives
-    K(w_1..w_k) - D_1 D_k K(w_2..w_(k-1)) + 2 (-1)^(k+1) D_1 ... D_k, with K
-    the scaled path determinant of _path_det.
-
-    Slot width: with mu_i >= 0 and sum mu_i = 2m, sum |c_k| = prod(1 + mu_i)
-    <= ((n + 2m) / n)^n by AM-GM, so every coefficient is a balanced digit of
-    b = bit_length of that bound plus one bit, rounded up to whole bytes."""
-    n = len(adj) - 1
-    m = sum(map(len, adj)) // 2
-    bound = -(-(n + 2 * m) ** n // n**n)
+        for w in cycle:
+            parent[w] = 0  # each cycle vertex keeps the tree hanging from it
+    bound = -(-(n + sum(diagonal)) ** n // n**n)
     b = -(-(bound.bit_length() + 1) // 8) * 8
-    num = [(1 << b) - len(nbrs) for nbrs in adj]
+    x = 1 << b
+    num = [0] + [x - d for d in diagonal]
     den = [1] * (n + 1)
-    on_cycle = set(cycle)
-    for w in on_cycle:
-        parent[w] = 0  # each cycle vertex keeps the tree hanging from it
     _fold(order, parent, num, den)
+    on_cycle = set(cycle)
     value = prod(num[v] for v in order if not parent[v] and v not in on_cycle)
     if cycle:
         pairs = [(num[w], den[w]) for w in cycle]

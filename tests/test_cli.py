@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import lapeq.checks
 import lapeq.cli
+import lapeq.construct
 import lapeq.graphs
 import lapeq.spectra
 from lapeq.cli import (
@@ -21,7 +23,7 @@ from lapeq.cli import (
     parse_graph_arg,
     parse_placement,
 )
-from lapeq.construct import build_starlike
+from lapeq.construct import build_starlike, family_branches
 from lapeq.graphs import Graph, cycle, load_graph, path, save_graph, star
 
 FIG_BEFORE = [9.03601, 4.0, 4.0, 3.61803, 2.47142, 2.0, 2.0, 1.38197, 1.0, 0.49257, 0.0]
@@ -120,6 +122,9 @@ def test_build_and_verify_agree_on_placement(tmp_path, capsys):
         assert main([cmd, "family", "--ell", "2", "--gamma", "2", "--placement", "2"]) == 0
         assert main([cmd, "family", "--ell", "2", "--placement", ""]) == 2
         assert "placement must be" in capsys.readouterr().err
+        # the order formula would read 1998002 here; the range error comes first
+        assert main([cmd, "family", "--ell", "-1000"]) == 2
+        assert "ell must be >= 2" in capsys.readouterr().err
 
 
 def test_parse_alpha():
@@ -167,6 +172,43 @@ def test_build_family_order_limit(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(lapeq.graphs, "MAX_ORDER", 5)
     assert main(["build", "family", "--ell", "2"]) == 2
     assert capsys.readouterr().err == "error: graph order 14 exceeds the limit of 5 vertices\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_family_order_closed_form():
+    """The order the family commands check before any branch is built is
+    family_branches' own, n = 2 ell^2 + 2 ell + 2 gamma, for every placement kind."""
+    for ell in range(2, 13):
+        for gamma in range(1, 5):
+            seen = []
+            args = argparse.Namespace(ell=ell, gamma=gamma, placement="even")
+            assert lapeq.cli._family_placement(args, seen.append) == "even"
+            assert seen == [2 * ell**2 + 2 * ell + 2 * gamma]
+            for placement in ("even", "odd", (2,) * (gamma - 1)):
+                assert family_branches(ell, gamma, placement).n == seen[0], (ell, gamma)
+
+
+@pytest.mark.parametrize(
+    "cmd, limit",
+    [("build", "limit of 100000 vertices"), ("verify", "dense-matrix limit of 10000 vertices")],
+)
+@pytest.mark.parametrize(
+    "flags, n",
+    [
+        (["--ell", "100000000"], 20_000_000_200_000_002),
+        (["--ell", "2", "--gamma", "100000000"], 200_000_012),
+    ],
+    ids=["ell", "gamma"],
+)
+def test_oversized_family_checked_before_any_branch(
+    monkeypatch, tmp_path, capsys, cmd, limit, flags, n
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no branch list is built past the limit")
+
+    monkeypatch.setattr(lapeq.construct, "family_branches", refuse)
+    assert main([cmd, "family", *flags]) == 2
+    assert capsys.readouterr().err == f"error: graph order {n} exceeds the {limit}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -540,7 +582,7 @@ def test_commands_import_only_what_they_run(tmp_path):
         "assert lapeq.treecount.sigma_tree(path(5)) == 2\n"
         "p4 = path(4)\n"
         "assert lapeq.treecount._berkowitz(p4.degrees(), p4.adjacency) == (1, -6, 10, -4, 0)\n"
-        "assert lapeq.treecount._laplacian_charpoly(p4) == (1, -6, 10, -4, 0)\n"
+        "assert lapeq.treecount._charpoly(p4, p4.degrees()) == (1, -6, 10, -4, 0)\n"
     )
     assert "numpy" not in loaded and "lapeq.spectra" not in loaded
 

@@ -13,8 +13,8 @@ from lapeq.spectra import laplacian_spectrum, sigma_count
 from lapeq.treecount import (
     JTResult,
     _berkowitz,
+    _charpoly,
     _kronecker_digits,
-    _laplacian_charpoly,
     jt_locate,
     sigma_tree,
 )
@@ -209,6 +209,11 @@ def berkowitz_charpoly(g):
     return _berkowitz(g.degrees(), g.adjacency)
 
 
+def _raised(g, extra):
+    """The degrees of g, each raised by its entry of extra."""
+    return [d + e for d, e in zip(g.degrees(), extra)]
+
+
 @st.composite
 def one_cycle_at_most(draw):
     """A relabelled graph of one of four shapes: a forest (isolated vertices
@@ -230,9 +235,11 @@ def one_cycle_at_most(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(g=one_cycle_at_most())
-def test_kronecker_charpoly_matches_berkowitz(g):
-    assert _laplacian_charpoly(g) == berkowitz_charpoly(g)
+@given(g=one_cycle_at_most(), data=st.data())
+def test_kronecker_charpoly_matches_berkowitz(g, data):
+    assert _charpoly(g, g.degrees()) == berkowitz_charpoly(g)
+    d = _raised(g, data.draw(st.lists(st.integers(0, 20), min_size=g.n, max_size=g.n)))
+    assert _charpoly(g, d) == _berkowitz(d, g.adjacency)
 
 
 def _triangle_with_pendants(n):
@@ -248,7 +255,48 @@ def _triangle_with_pendants(n):
          "cycle-25", "triangle", "triangle-17-pendants"],
 )
 def test_kronecker_charpoly_extremes(g):
-    assert _laplacian_charpoly(g) == berkowitz_charpoly(g)
+    rng = random.Random(g.n)
+    for extra in ([0] * g.n, [20] * g.n, [rng.randint(0, 20) for _ in range(g.n)]):
+        d = _raised(g, extra)
+        assert _charpoly(g, d) == _berkowitz(d, g.adjacency), extra
+
+
+@pytest.mark.parametrize(
+    "g",
+    [path(3), cycle(4), Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])],
+    ids=["path", "cycle", "K4"],
+)
+def test_charpoly_refuses_a_diagonal_below_the_degrees(g):
+    for v in range(g.n):
+        d = list(g.degrees())
+        d[v] -= 1
+        with pytest.raises(ValueError, match="at least its vertex's degree"):
+            _charpoly(g, d)
+    with pytest.raises(ValueError, match=f"need {g.n} diagonal entries"):
+        _charpoly(g, g.degrees()[1:])
+
+
+def _at_two_plus_t_plus_inverse(coeffs):
+    """t^k chi(2 + t + 1/t), lowest power of t first, for chi of degree k with
+    coeffs leading first. As x = (1 + t)^2 / t, Horner's step h -> h x + c_i
+    becomes q -> q (1 + t)^2 + c_i t^i on q = t^i h."""
+    q = [coeffs[0]]
+    for i, c in enumerate(coeffs[1:], 1):
+        p = [0, 0, *q, 0, 0]
+        q = [p[j + 2] + 2 * p[j + 1] + p[j] for j in range(len(q) + 2)]
+        q[i] += c
+    return q
+
+
+def test_path_matrices_of_the_family_theorem():
+    """(F1) for k = 1..100: with x = 2 + t + 1/t, t^k chi(x) is 1 + t + ... + t^2k
+    for H_k = L(path k) + e_k e_k^T (diagonal 1, 2, ..., 2) and 1 - t + ... + t^2k
+    for F_k = H_k + 2 e_1 e_1^T (diagonal 3, 2, ..., 2)."""
+    for k in range(1, 101):
+        h = _at_two_plus_t_plus_inverse(_charpoly(path(k), [1] + [2] * (k - 1)))
+        f = _at_two_plus_t_plus_inverse(_charpoly(path(k), [3] + [2] * (k - 1)))
+        assert h == [1] * (2 * k + 1), k
+        assert f == [(-1) ** j for j in range(2 * k + 1)], k
 
 
 def _refuse(*args):
@@ -265,9 +313,15 @@ def _refuse(*args):
     ids=["K4", "theta", "two-triangles"],
 )
 def test_two_independent_cycles_take_berkowitz(g, monkeypatch):
-    expected = berkowitz_charpoly(g)
-    monkeypatch.setattr(lapeq.treecount, "_kronecker_charpoly", _refuse)
-    assert _laplacian_charpoly(g) == expected
+    calls = []
+
+    def spy(diagonal, adjacency):
+        calls.append((diagonal, adjacency))
+        return _berkowitz(diagonal, adjacency)
+
+    monkeypatch.setattr(lapeq.treecount, "_berkowitz", spy)
+    assert _charpoly(g, g.degrees()) == berkowitz_charpoly(g)
+    assert calls == [(g.degrees(), g.adjacency)]
 
 
 @pytest.mark.parametrize(
@@ -283,7 +337,7 @@ def test_two_independent_cycles_take_berkowitz(g, monkeypatch):
 def test_at_most_one_cycle_skips_berkowitz(g, monkeypatch):
     expected = berkowitz_charpoly(g)
     monkeypatch.setattr(lapeq.treecount, "_berkowitz", _refuse)
-    assert _laplacian_charpoly(g) == expected
+    assert _charpoly(g, g.degrees()) == expected
 
 
 def test_kronecker_decode_refuses_over_wide_digits():
