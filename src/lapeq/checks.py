@@ -49,14 +49,13 @@ from .treecount import _charpoly, jt_locate, sigma_tree
 
 # Fixed tolerances, each recorded in its claim's report (laplacian_charpoly is
 # exact and needs none): RESIDUAL_TOL for the replacement, path-replacement,
-# energy and family residuals, TRIG_TOL for the cosine half-sums;
-# spectra.SPECTRUM_TOL for jt-oracle, structural, and sigma and
-# odd-branch-experiment, whose companion count is a float count.
+# energy and family residuals and every family decision, TRIG_TOL for the
+# cosine half-sums; spectra.SPECTRUM_TOL for jt-oracle, structural, and sigma
+# and odd-branch-experiment, whose companion count is a float count. energy
+# alone has a second one: sigma_count checks its sigma hypothesis, at
+# SPECTRUM_TOL, and takes no tolerance argument.
 RESIDUAL_TOL = 1e-8
 TRIG_TOL = 1e-12
-# Matching tolerance for eigenvalue multiplicities in the family check; the
-# discriminating eigenvalues are isolated by gaps orders of magnitude wider.
-MULTIPLICITY_TOL = 1e-7
 # Core and host orders of random_mirror are drawn from 1..MAX_CORE and 1..MAX_HOST.
 MAX_CORE = 6
 MAX_HOST = 10
@@ -175,7 +174,8 @@ def _tree_and_companion(spec: StarlikeSpec | Iterable[int], k: int) -> tuple[Gra
 
 def check_energy_equality(spec: StarlikeSpec | Iterable[int], k: int) -> CheckReport:
     """A cross edge between the two length-k branches preserves Laplacian
-    energy, and the partial-sum formula reproduces the (zero) difference."""
+    energy, and the partial-sum formula reproduces the (zero) difference;
+    that formula's sigma hypothesis is checked by sigma_count at SPECTRUM_TOL."""
     g, g2, evidence = _tree_and_companion(spec, k)
     spec_tree = laplacian_spectrum(g)
     spec_uni = laplacian_spectrum(g2)
@@ -216,7 +216,7 @@ def check_sigma(spec: StarlikeSpec | Iterable[int], k: int) -> CheckReport:
 def check_family(ell: int, gamma: int = 1, placement: str | Sequence[int] = "even") -> CheckReport:
     """The generated family is pairwise noncospectral with equal energies,
     and each cross edge strictly lowers the multiplicity of its top removed
-    eigenvalue 2 + 2cos(2*pi/(4i+1))."""
+    eigenvalue 2 + 2cos(2*pi/(4i+1)); all three decided at RESIDUAL_TOL."""
     graphs = generate_family(ell, gamma, placement)
     spectra = [laplacian_spectrum(g) for g in graphs]
     energies = [laplacian_energy(g, s) for g, s in zip(graphs, spectra)]
@@ -225,15 +225,15 @@ def check_family(ell: int, gamma: int = 1, placement: str | Sequence[int] = "eve
     cospectral_pairs = []
     for i in range(1, len(graphs)):
         for j in range(i + 1, len(graphs)):
-            if cospectral(spectra[i], spectra[j]):
+            if cospectral(spectra[i], spectra[j], RESIDUAL_TOL):
                 cospectral_pairs.append([i, j])
 
     multiplicities = []
     drops_ok = True
     for i in range(1, ell + 1):
         marker = 2.0 + 2.0 * math.cos(2.0 * math.pi / (4 * i + 1))
-        m_base = spectra[0].multiplicity(marker, MULTIPLICITY_TOL)
-        m_member = spectra[i].multiplicity(marker, MULTIPLICITY_TOL)
+        m_base = spectra[0].multiplicity(marker, RESIDUAL_TOL)
+        m_member = spectra[i].multiplicity(marker, RESIDUAL_TOL)
         multiplicities.append([m_base, m_member])
         if not (m_base >= 1 and m_member < m_base):
             drops_ok = False
@@ -278,8 +278,6 @@ def random_tree(rng: random.Random, n: int) -> Graph:
     """Uniform labeled tree by decoding a random Pruefer sequence."""
     if n == 1:
         return Graph(1)
-    if n == 2:
-        return path(2)
     import heapq
 
     seq = [rng.randint(1, n) for _ in range(n - 2)]
@@ -407,8 +405,6 @@ def iter_starlike_specs(max_n: int) -> Iterator[StarlikeSpec]:
             if 2 * odd >= n:
                 break
             for evens in even_partitions(total - odd, 2):
-                if len(evens) < 2:
-                    continue
                 if not any(evens.count(b) >= 2 for b in set(evens)):
                     continue
                 yield StarlikeSpec(evens + (odd,))
@@ -540,7 +536,7 @@ def odd_branch_experiment() -> CheckReport:
     for n in range(6, ODD_BRANCH_MAX_N + 1, 2):
         for k in range(2, n, 2):
             odd = n - 1 - 2 * k
-            if odd < 1 or odd % 2 == 0 or 2 * odd < n:
+            if odd < 1 or 2 * odd < n:
                 continue
             branches = (k, k, odd)
             g = spider(branches)  # no StarlikeSpec: these break its odd < n/2 rule
@@ -598,8 +594,8 @@ _BUDGETS = {
 }
 
 
-def run_all(seed: int = 7, budget: str = "small", experiments: bool = False) -> list[CheckReport]:
-    """The whole battery, deterministically ordered by claim name."""
+def run_all(seed: int = 7, budget: str = "small") -> list[CheckReport]:
+    """The whole battery, odd-branch probe included, ordered by claim name."""
     if budget not in _BUDGETS:
         raise ValueError(f"budget must be one of {sorted(_BUDGETS)}, got {budget!r}")
     b = _BUDGETS[budget]
@@ -612,7 +608,6 @@ def run_all(seed: int = 7, budget: str = "small", experiments: bool = False) -> 
         check_trig_identity(b["trig_k_max"]),
         jt_oracle_suite(count=b["jt_count"], seed=seed, max_n=b["jt_max_n"]),
         structural_suite(count=b["structural_count"], seed=seed, max_n=b["structural_max_n"]),
+        odd_branch_experiment(),
     ]
-    if experiments:
-        reports.append(odd_branch_experiment())
     return sorted(reports, key=lambda r: r.claim)

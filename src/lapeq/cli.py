@@ -105,19 +105,11 @@ def cmd_build_starlike(args) -> int:
     return 0
 
 
-def _family_placement(a, check_limit) -> str | tuple[int, ...]:
-    """The parsed --placement, once check_limit has passed the order every
-    family graph shares, 2 ell^2 + 2 ell + 2 gamma: family_branches would
-    build the whole branch list first."""
-    if a.ell >= 2 and a.gamma >= 1:  # else family_branches names the bad value
-        check_limit(2 * a.ell * (a.ell + 1) + 2 * a.gamma)
-    return parse_placement(a.placement)
-
-
 def cmd_build_family(args) -> int:
-    from .construct import write_family
+    from .construct import family_order, write_family
 
-    placement = _family_placement(args, check_order)
+    check_order(family_order(args.ell, args.gamma))
+    placement = parse_placement(args.placement)
     tag = placement if isinstance(placement, str) else "-".join(map(str, placement))
     outdir = args.outdir or os.path.join(
         _outdir(), f"family_ell{args.ell}_gamma{args.gamma}_{tag}"
@@ -205,7 +197,10 @@ def cmd_jt(args) -> int:
 
 def _verify_family(c, a):
     """check_family, once the family's order passes the dense limit."""
-    return [c.check_family(a.ell, a.gamma, _family_placement(a, check_dense_order))]
+    from .construct import family_order
+
+    check_dense_order(family_order(a.ell, a.gamma))
+    return [c.check_family(a.ell, a.gamma, parse_placement(a.placement))]
 
 
 # Default --max-n of the energy and sigma sweeps; the option itself defaults
@@ -234,7 +229,7 @@ _VERIFY = {
     ],
     "family": _verify_family,
     "trig": lambda c, a: [c.check_trig_identity(a.kmax)],
-    "all": lambda c, a: c.run_all(seed=a.seed, budget=a.budget, experiments=a.experiments),
+    "all": lambda c, a: c.run_all(seed=a.seed, budget=a.budget),
 }
 
 
@@ -329,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     v_all = vsub.add_parser("all", help="the whole battery")
     v_all.add_argument("--seed", type=int, default=7)
     v_all.add_argument("--budget", choices=("small", "full"), default="small")
-    v_all.add_argument("--experiments", action="store_true", help="include beyond-proven-bound probes")
 
     for sp in vsub.choices.values():
         sp.add_argument("--report", help="JSON report path")

@@ -215,6 +215,16 @@ def starlike_mirror(branches: Sequence[int], k: int) -> MirrorDecomposition:
 # --- equal-energy families ------------------------------------------------------
 
 
+def family_order(ell: int, gamma: int) -> int:
+    """The order every graph of the (ell, gamma) family shares, for any
+    placement: 1 + 2(2 + 4 + ... + 2 ell) + 1 + 2(gamma - 1)."""
+    if ell < 2:
+        raise ValueError(f"ell must be >= 2, got {ell}")
+    if gamma < 1:
+        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    return 2 * ell * (ell + 1) + 2 * gamma
+
+
 def family_branches(
     ell: int, gamma: int = 1, placement: str | Sequence[int] = "even"
 ) -> StarlikeSpec:
@@ -222,10 +232,7 @@ def family_branches(
     length 2, 4, ..., 2*ell, one odd branch, and 2*(gamma-1) filler vertices
     placed per the policy ("even" = extra 2-vertex branches, "odd" = grow the
     odd branch, or an explicit list of even branch lengths)."""
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
-    if gamma < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    family_order(ell, gamma)
     evens = [2 * i for i in range(1, ell + 1) for _ in range(2)]
     odd = 1
     extra = 2 * (gamma - 1)

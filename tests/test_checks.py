@@ -234,6 +234,19 @@ def test_family_check():
         assert m_base >= 1 and m_member < m_base
 
 
+def test_family_decides_at_its_recorded_tolerance(monkeypatch):
+    # a tolerance of 1.0 merges neighbouring eigenvalues: if noncospectrality
+    # and the marker counts are decided at the recorded tolerance, both move
+    base = check_family(3, 2)
+    assert base.ok and base.evidence["marker_multiplicities"] == [[2, 1], [1, 0], [1, 0]]
+    monkeypatch.setattr(lapeq.checks, "RESIDUAL_TOL", 1.0)
+    rep = check_family(3, 2)
+    assert rep.tolerance == 1.0
+    assert not rep.ok
+    assert rep.evidence["cospectral_pairs"] == [[1, 2], [1, 3], [2, 3]]
+    assert rep.evidence["marker_multiplicities"] != base.evidence["marker_multiplicities"]
+
+
 def test_trig_check(monkeypatch):
     rep = check_trig_identity(1)
     assert rep.ok
@@ -415,7 +428,7 @@ TOLERANCES = {
 
 
 def test_evidence_keys_are_stable():
-    reports = run_all(budget="small", experiments=True)
+    reports = run_all(budget="small")
     assert {rep.claim: set(rep.evidence) for rep in reports} == EVIDENCE_KEYS
     assert {rep.claim: rep.tolerance for rep in reports} == TOLERANCES
     replaced = {"n", "k", "removed", "added", "max_residual"}
@@ -600,7 +613,7 @@ def test_family_charpoly_at_paper_scale(ell, gamma):
 
 
 def test_run_all_small_budget():
-    reports = run_all(seed=7, budget="small", experiments=True)
+    reports = run_all(budget="small")
     claims = [r.claim for r in reports]
     assert claims == sorted(claims)
     assert "odd-branch-experiment" in claims

@@ -1,4 +1,3 @@
-import argparse
 import importlib
 import json
 import os
@@ -23,7 +22,7 @@ from lapeq.cli import (
     parse_graph_arg,
     parse_placement,
 )
-from lapeq.construct import build_starlike, family_branches
+from lapeq.construct import build_starlike, family_branches, family_order
 from lapeq.graphs import Graph, cycle, load_graph, path, save_graph, star
 
 FIG_BEFORE = [9.03601, 4.0, 4.0, 3.61803, 2.47142, 2.0, 2.0, 1.38197, 1.0, 0.49257, 0.0]
@@ -180,12 +179,10 @@ def test_family_order_closed_form():
     family_branches' own, n = 2 ell^2 + 2 ell + 2 gamma, for every placement kind."""
     for ell in range(2, 13):
         for gamma in range(1, 5):
-            seen = []
-            args = argparse.Namespace(ell=ell, gamma=gamma, placement="even")
-            assert lapeq.cli._family_placement(args, seen.append) == "even"
-            assert seen == [2 * ell**2 + 2 * ell + 2 * gamma]
+            n = family_order(ell, gamma)
+            assert n == 2 * ell**2 + 2 * ell + 2 * gamma
             for placement in ("even", "odd", (2,) * (gamma - 1)):
-                assert family_branches(ell, gamma, placement).n == seen[0], (ell, gamma)
+                assert family_branches(ell, gamma, placement).n == n, (ell, gamma)
 
 
 @pytest.mark.parametrize(
@@ -498,14 +495,16 @@ def test_verify_all_small(tmp_path, capsys):
                   "jt-oracle", "structural"):
         assert claim in out
     report = json.loads((tmp_path / "verify_all.json").read_text())
-    assert len(report) == 8
+    assert len(report) == 9
+    assert "odd-branch-experiment" in {r["claim"] for r in report}
     assert all(r["status"] == "pass" for r in report)
 
 
 def test_unknown_claim_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "entropy"])
-    assert exc.value.code == 2
+    for argv in (["verify", "entropy"], ["verify", "all", "--experiments"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_module_entry_point():
