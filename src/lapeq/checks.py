@@ -7,7 +7,6 @@ complete. Random-instance suites take a seed and record it in the report.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -61,6 +60,9 @@ MAX_CORE = 6
 MAX_HOST = 10
 # odd_branch_experiment probes every even order 6..ODD_BRANCH_MAX_N.
 ODD_BRANCH_MAX_N = 40
+# Largest order of the small budget's energy and sigma sweeps, and of
+# `lapeq verify energy|sigma` without --max-n.
+SWEEP_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -83,9 +85,6 @@ class CheckReport:
             "seed": self.seed,
             "evidence": self.evidence,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def format_report_table(reports: Sequence[CheckReport]) -> str:
@@ -254,14 +253,13 @@ def check_trig_identity(k_max: int) -> CheckReport:
     """sum_{j=1..k} cos(2j*pi/(2k+1)) = -1/2 for every k up to k_max."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    worst, worst_k = -1.0, 0
-    for k in range(1, k_max + 1):
-        total = math.fsum(math.cos(2.0 * j * math.pi / (2 * k + 1)) for j in range(1, k + 1))
-        resid = abs(total + 0.5)
-        if resid > worst:
-            worst, worst_k = resid, k
-    evidence = {"k_max": k_max, "max_residual": worst, "worst_k": worst_k, "instances": k_max}
-    return CheckReport("trig", worst <= TRIG_TOL, TRIG_TOL, evidence)
+    resids = [
+        abs(math.fsum(math.cos(2.0 * j * math.pi / (2 * k + 1)) for j in range(1, k + 1)) + 0.5)
+        for k in range(1, k_max + 1)
+    ]
+    outcomes = ((r <= TRIG_TOL, r, {"k": k, "residual": r}) for k, r in enumerate(resids, 1))
+    worst_k = 1 + resids.index(max(resids))
+    return _suite("trig", TRIG_TOL, outcomes, f"k = 1..{k_max}", k_max=k_max, worst_k=worst_k)
 
 
 # --- random instances ----------------------------------------------------------
@@ -314,42 +312,32 @@ def random_mirror(rng: random.Random) -> tuple[MirrorDecomposition, tuple[int, .
 # --- suites ---------------------------------------------------------------------
 
 
-def _tally(
-    outcomes: Iterable[tuple[bool, float | None, dict]], grid: str, residuals: bool = True
-) -> dict:
-    """Fold per-instance (ok, residual, failure record) triples into the
-    evidence every suite shares: the instance count, the worst residual when
-    the claim has residuals, the first 10 failure records and their count.
-    ValueError when the grid, described by `grid`, yields no instance."""
-    instances, worst, failures = 0, 0.0, []
-    for ok, resid, failure in outcomes:
+def _suite(
+    claim: str,
+    tol: float,
+    outcomes: Iterable[tuple[bool, float | None, dict]],
+    grid: str,
+    seed: int | None = None,
+    **grid_fields,
+) -> CheckReport:
+    """A claim's report from one pass over its per-instance (ok, residual,
+    record) triples: the instance count, the first 10 failing records and the
+    count of all, the worst residual if any instance has one, then the grid
+    fields. ValueError when the grid, described by `grid`, yields nothing."""
+    instances, worst, failures = 0, None, []
+    for ok, resid, record in outcomes:
         instances += 1
-        if resid is not None:
-            worst = max(worst, resid)
+        if resid is not None and (worst is None or resid > worst):
+            worst = resid
         if not ok:
-            failures.append(failure)
+            failures.append(record)
     if not instances:
         raise ValueError(f"nothing to check: {grid} is empty")
     evidence = {"instances": instances, "failures": failures[:10], "failure_count": len(failures)}
-    if residuals:
+    if worst is not None:
         evidence["max_residual"] = worst
-    return evidence
-
-
-def _details(
-    claim: str, cases: Iterable[tuple[CheckReport, dict]], residual_key: str
-) -> CheckReport:
-    """One detail row per (report, row label) case, with its status and
-    residual; passes when every case passes."""
-    worst, ok, details = 0.0, True, []
-    for rep, label in cases:
-        resid = rep.evidence["max_residual"]
-        if resid is not None:
-            worst = max(worst, resid)
-        ok = ok and rep.ok
-        details.append({**label, "status": rep.status, residual_key: resid})
-    evidence = {"instances": len(details), "max_residual": worst, "details": details}
-    return CheckReport(claim, ok, RESIDUAL_TOL, evidence)
+    evidence.update(grid_fields)
+    return CheckReport(claim, not failures, tol, evidence, seed)
 
 
 def replacement_suite(count: int = 50, seed: int = 7) -> CheckReport:
@@ -362,16 +350,17 @@ def replacement_suite(count: int = 50, seed: int = 7) -> CheckReport:
             resid = rep.evidence["max_residual"]
             yield rep.ok, resid, {"instance": i, "n": dec.n, "k": dec.k, "residual": resid}
 
-    evidence = _tally(outcomes(), f"the grid of count={count} random mirrors")
-    evidence.update(max_core=MAX_CORE, max_host=MAX_HOST)
-    return CheckReport("replacement", not evidence["failure_count"], RESIDUAL_TOL, evidence, seed)
+    grid = f"the grid of count={count} random mirrors"
+    return _suite(
+        "replacement", RESIDUAL_TOL, outcomes(), grid, seed, max_core=MAX_CORE, max_host=MAX_HOST
+    )
 
 
 def path_replacement_examples() -> CheckReport:
     """Fixed path-core instances: the smallest starlike member, one tree
     viewed two ways over its repeated branch lengths, an odd path core, and a
     cycle host (the wider class: any host, path core linked at its far end)."""
-    instances = [
+    examples = [
         ("starlike-2-2-1-k2", starlike_mirror((2, 2, 1), 2)),
         ("starlike-4-4-2-2-3-k2", starlike_mirror((2, 2, 4, 4, 3), 2)),
         ("starlike-4-4-2-2-3-k4", starlike_mirror((2, 2, 4, 4, 3), 4)),
@@ -379,8 +368,15 @@ def path_replacement_examples() -> CheckReport:
         ("cycle-host-k3", build_mirror(path(3), cycle(5), 1, unit_vector(3, 3))),
         ("cycle-host-k1", build_mirror(path(1), cycle(5), 2, unit_vector(1, 1))),
     ]
-    cases = ((check_path_replacement(dec), {"instance": name}) for name, dec in instances)
-    return _details("path-replacement", cases, "residual")
+
+    def outcomes():
+        for name, dec in examples:
+            rep = check_path_replacement(dec)
+            resid = rep.evidence["max_residual"]
+            yield rep.ok, resid, {"instance": name, "n": dec.n, "k": dec.k, "residual": resid}
+
+    names = [name for name, _ in examples]
+    return _suite("path-replacement", RESIDUAL_TOL, outcomes(), "the examples", examples=names)
 
 
 def iter_starlike_specs(max_n: int) -> Iterator[StarlikeSpec]:
@@ -427,9 +423,9 @@ def energy_sweep(max_n: int = 30) -> CheckReport:
             resid = rep.evidence["max_residual"]
             yield rep.ok, resid, {"branches": list(spec.branches), "k": k, "residual": resid}
 
-    evidence = _tally(outcomes(), f"the starlike grid up to max_n={max_n}")
-    evidence.update(max_n=max_n, specs=len({spec for spec, _ in grid}))
-    return CheckReport("energy", not evidence["failure_count"], RESIDUAL_TOL, evidence)
+    specs = len({spec for spec, _ in grid})
+    where = f"the starlike grid up to max_n={max_n}"
+    return _suite("energy", RESIDUAL_TOL, outcomes(), where, max_n=max_n, specs=specs)
 
 
 def sigma_sweep(max_n: int = 30) -> CheckReport:
@@ -445,23 +441,25 @@ def sigma_sweep(max_n: int = 30) -> CheckReport:
                 "sigma_unicyclic": rep.evidence["sigma_unicyclic"],
             }
 
-    evidence = _tally(outcomes(), f"the starlike grid up to max_n={max_n}", residuals=False)
-    evidence["max_n"] = max_n
-    return CheckReport("sigma", not evidence["failure_count"], SPECTRUM_TOL, evidence)
+    where = f"the starlike grid up to max_n={max_n}"
+    return _suite("sigma", SPECTRUM_TOL, outcomes(), where, max_n=max_n)
 
 
 def family_sweep(ells: Sequence[int] = (2, 3), gammas: Sequence[int] = (1, 2)) -> CheckReport:
-    """check_family at every (ell, gamma) with even and with odd placement."""
+    """check_family at every (ell, gamma) with even and with odd placement;
+    gamma = 1 leaves no filler to place, so its one family is checked once."""
 
-    def cases():
+    def outcomes():
         for ell in ells:
             for gamma in gammas:
-                for placement in ("even", "odd"):
+                for placement in ("even", "odd") if gamma > 1 else ("even",):
                     rep = check_family(ell, gamma, placement)
+                    resid = rep.evidence["max_residual"]
                     label = {"ell": ell, "gamma": gamma, "placement": placement}
-                    yield rep, {**label, "n": rep.evidence["n"]}
+                    yield rep.ok, resid, {**label, "n": rep.evidence["n"], "residual": resid}
 
-    return _details("family", cases(), "energy_spread")
+    grid = f"the family grid of ells={list(ells)} and gammas={list(gammas)}"
+    return _suite("family", RESIDUAL_TOL, outcomes(), grid, ells=list(ells), gammas=list(gammas))
 
 
 def jt_oracle_suite(count: int = 50, seed: int = 7, max_n: int = 200) -> CheckReport:
@@ -469,10 +467,8 @@ def jt_oracle_suite(count: int = 50, seed: int = 7, max_n: int = 200) -> CheckRe
     SPECTRUM_TOL from alpha classify strictly; anything inside the band is ambiguous,
     and the exact count must place it consistently."""
     rng = random.Random(seed)
-    ambiguous_instances = 0
 
     def outcomes():
-        nonlocal ambiguous_instances
         for i in range(count):
             n = rng.randint(1, max_n)
             tree = random_tree(rng, n)
@@ -484,8 +480,6 @@ def jt_oracle_suite(count: int = 50, seed: int = 7, max_n: int = 200) -> CheckRe
             strict_above = sum(1 for v in spec if v > af + SPECTRUM_TOL)
             strict_below = sum(1 for v in spec if v < af - SPECTRUM_TOL)
             amb = n - strict_above - strict_below
-            if amb:
-                ambiguous_instances += 1
             ok = res.above >= strict_above and res.below >= strict_below and res.equal <= amb
             yield ok, None, {
                 "instance": i,
@@ -495,9 +489,12 @@ def jt_oracle_suite(count: int = 50, seed: int = 7, max_n: int = 200) -> CheckRe
                 "dense_strict": [strict_above, amb, strict_below],
             }
 
-    evidence = _tally(outcomes(), f"the grid of count={count} random trees", residuals=False)
-    evidence.update(max_n=max_n, ambiguous_instances=ambiguous_instances)
-    return CheckReport("jt-oracle", not evidence["failure_count"], SPECTRUM_TOL, evidence, seed)
+    results = list(outcomes())
+    ambiguous = sum(1 for _, _, record in results if record["dense_strict"][1])
+    grid = f"the grid of count={count} random trees"
+    return _suite(
+        "jt-oracle", SPECTRUM_TOL, results, grid, seed, max_n=max_n, ambiguous_instances=ambiguous
+    )
 
 
 def structural_suite(count: int = 100, seed: int = 7, max_n: int = 100) -> CheckReport:
@@ -522,9 +519,8 @@ def structural_suite(count: int = 100, seed: int = 7, max_n: int = 100) -> Check
                 "components": comps,
             }
 
-    evidence = _tally(outcomes(), f"the grid of count={count} random graphs")
-    evidence["max_n"] = max_n
-    return CheckReport("structural", not evidence["failure_count"], SPECTRUM_TOL, evidence, seed)
+    grid = f"the grid of count={count} random graphs"
+    return _suite("structural", SPECTRUM_TOL, outcomes(), grid, seed, max_n=max_n)
 
 
 def odd_branch_experiment() -> CheckReport:
@@ -571,7 +567,7 @@ def laplacian_charpoly(g: Graph) -> tuple[int, ...]:
 _BUDGETS = {
     "small": {
         "replacement_count": 50,
-        "starlike_max_n": 20,
+        "starlike_max_n": SWEEP_MAX_N,
         "family_ells": (2, 3),
         "family_gammas": (1, 2),
         "trig_k_max": 200,

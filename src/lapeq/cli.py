@@ -203,13 +203,10 @@ def _verify_family(c, a):
     return [c.check_family(a.ell, a.gamma, parse_placement(a.placement))]
 
 
-# Default --max-n of the energy and sigma sweeps; the option itself defaults
-# to None, so that cmd_verify can tell it apart from a --branches instance.
-SWEEP_MAX_N = 20
-
 # claim -> its reports from the checks module c; path-replacement, energy and
 # sigma check the single --branches/--k instance when both are given, else
-# their default sweep
+# their default sweep. --max-n defaults to None, so that cmd_verify can tell it
+# apart from a --branches instance; the sweeps then run to c.SWEEP_MAX_N.
 _VERIFY = {
     "replacement": lambda c, a: [c.replacement_suite(count=a.count, seed=a.seed)],
     "path-replacement": lambda c, a: [
@@ -220,12 +217,12 @@ _VERIFY = {
     "energy": lambda c, a: [
         c.check_energy_equality(parse_branches(a.branches), a.k)
         if a.branches is not None
-        else c.energy_sweep(max_n=SWEEP_MAX_N if a.max_n is None else a.max_n)
+        else c.energy_sweep(max_n=c.SWEEP_MAX_N if a.max_n is None else a.max_n)
     ],
     "sigma": lambda c, a: [
         c.check_sigma(parse_branches(a.branches), a.k)
         if a.branches is not None
-        else c.sigma_sweep(max_n=SWEEP_MAX_N if a.max_n is None else a.max_n)
+        else c.sigma_sweep(max_n=c.SWEEP_MAX_N if a.max_n is None else a.max_n)
     ],
     "family": _verify_family,
     "trig": lambda c, a: [c.check_trig_identity(a.kmax)],

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -57,9 +56,6 @@ class Spectrum:
 
     def multiplicity(self, x: float, tol: float = SPECTRUM_TOL) -> int:
         return sum(1 for v in self.values if abs(v - x) <= tol)
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.values))
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -56,7 +56,7 @@ from lapeq.treecount import _charpoly
 def test_check_report_round_trip():
     rep = CheckReport("demo", True, 1e-8, {"max_residual": 2e-12, "instances": 3}, seed=5)
     assert rep.status == "pass"
-    d = json.loads(rep.to_json())
+    d = json.loads(json.dumps(rep.to_dict()))  # as `lapeq verify` writes it
     assert d["claim"] == "demo"
     assert d["status"] == "pass"
     assert d["seed"] == 5
@@ -251,10 +251,23 @@ def test_trig_check(monkeypatch):
     rep = check_trig_identity(1)
     assert rep.ok
     assert rep.evidence["max_residual"] <= 1e-12
+    assert rep.evidence["instances"] == rep.evidence["k_max"] == rep.evidence["worst_k"] == 1
     monkeypatch.setattr(lapeq.checks, "TRIG_TOL", 0.0)
     assert not check_trig_identity(5).ok  # cosine sums carry rounding
     with pytest.raises(ValueError):
         check_trig_identity(0)
+
+
+def test_trig_failures_list_their_k(monkeypatch):
+    base = check_trig_identity(12)
+    monkeypatch.setattr(lapeq.checks, "TRIG_TOL", -1.0)  # no residual is <= -1
+    rep = check_trig_identity(12)
+    assert not rep.ok
+    assert rep.evidence["failure_count"] == 12
+    assert [f["k"] for f in rep.evidence["failures"]] == list(range(1, 11))
+    worst = max(rep.evidence["failures"], key=lambda f: f["residual"])
+    assert rep.evidence["max_residual"] == base.evidence["max_residual"] >= worst["residual"]
+    assert rep.evidence["worst_k"] == base.evidence["worst_k"]
 
 
 # --- instance enumeration -----------------------------------------------------------
@@ -350,13 +363,15 @@ def test_suites_refuse_an_empty_grid():
         energy_sweep(max_n=4)
     with pytest.raises(ValueError, match="max_n=2 is empty"):
         sigma_sweep(max_n=2)
+    with pytest.raises(ValueError, match=r"ells=\[\] .* is empty"):
+        family_sweep(ells=())
 
 
 def test_path_replacement_examples():
     rep = path_replacement_examples()
     assert rep.ok
     assert rep.evidence["instances"] == 6
-    names = [d["instance"] for d in rep.evidence["details"]]
+    names = rep.evidence["examples"]
     assert "spider-3-3-2-k3" in names  # odd core length works too
     assert "cycle-host-k1" in names
 
@@ -373,15 +388,32 @@ def test_energy_and_sigma_sweeps():
 def test_family_sweep():
     rep = family_sweep(ells=(2,), gammas=(1, 2))
     assert rep.ok
-    assert rep.evidence["instances"] == 4
-    assert {d["placement"] for d in rep.evidence["details"]} == {"even", "odd"}
+    assert rep.evidence["instances"] == 3  # gamma = 1 has one family, not one per placement
+    assert (rep.evidence["ells"], rep.evidence["gammas"]) == ([2], [1, 2])
+    assert family_sweep(ells=(2, 3, 4, 5), gammas=(1, 2, 3)).evidence["instances"] == 20
 
 
-def test_jt_oracle_suite():
+def test_fixed_instance_failures_carry_their_labels(monkeypatch):
+    monkeypatch.setattr(lapeq.checks, "RESIDUAL_TOL", -1.0)  # no residual is <= -1
+    paths = path_replacement_examples()
+    assert not paths.ok
+    assert paths.evidence["failure_count"] == 6
+    assert [f["instance"] for f in paths.evidence["failures"]] == paths.evidence["examples"]
+    fam = family_sweep(ells=(2,), gammas=(1, 2))
+    assert not fam.ok
+    assert fam.tolerance == -1.0
+    cells = [(f["ell"], f["gamma"], f["placement"], f["n"]) for f in fam.evidence["failures"]]
+    assert cells == [(2, 1, "even", 14), (2, 2, "even", 16), (2, 2, "odd", 16)]
+
+
+def test_jt_oracle_suite(monkeypatch):
     rep = jt_oracle_suite(count=40, seed=11, max_n=50)
     assert rep.ok
     assert rep.seed == 11
     assert rep.evidence["failure_count"] == 0
+    assert rep.evidence["ambiguous_instances"] == 1
+    monkeypatch.setattr(lapeq.checks, "SPECTRUM_TOL", 1e9)  # every eigenvalue is in the band
+    assert jt_oracle_suite(count=40, seed=11, max_n=50).evidence["ambiguous_instances"] == 40
 
 
 def test_structural_suite():
@@ -402,17 +434,17 @@ def test_suite_failures_keep_the_first_ten_and_count_all(monkeypatch):
 
 
 SUITE_KEYS = {"instances", "failures", "failure_count"}
-DETAIL_KEYS = {"instances", "max_residual", "details"}
+RESIDUAL_KEYS = SUITE_KEYS | {"max_residual"}
 EVIDENCE_KEYS = {
-    "energy": SUITE_KEYS | {"max_residual", "max_n", "specs"},
-    "family": DETAIL_KEYS,
+    "energy": RESIDUAL_KEYS | {"max_n", "specs"},
+    "family": RESIDUAL_KEYS | {"ells", "gammas"},
     "jt-oracle": SUITE_KEYS | {"max_n", "ambiguous_instances"},
     "odd-branch-experiment": {"instances", "holds", "observations"},
-    "path-replacement": DETAIL_KEYS,
-    "replacement": SUITE_KEYS | {"max_residual", "max_core", "max_host"},
+    "path-replacement": RESIDUAL_KEYS | {"examples"},
+    "replacement": RESIDUAL_KEYS | {"max_core", "max_host"},
     "sigma": SUITE_KEYS | {"max_n"},
-    "structural": SUITE_KEYS | {"max_residual", "max_n"},
-    "trig": {"instances", "k_max", "max_residual", "worst_k"},
+    "structural": RESIDUAL_KEYS | {"max_n"},
+    "trig": RESIDUAL_KEYS | {"k_max", "worst_k"},
 }
 TOLERANCES = {
     "energy": 1e-8,
@@ -619,6 +651,20 @@ def test_run_all_small_budget():
     assert "odd-branch-experiment" in claims
     assert len(claims) == 9
     assert all(r.ok for r in reports)
+
+
+def test_every_claim_but_the_probe_reports_through_one_helper(monkeypatch):
+    claims = []
+    suite = lapeq.checks._suite
+
+    def recorded(claim, *args, **kwargs):
+        claims.append(claim)
+        return suite(claim, *args, **kwargs)
+
+    monkeypatch.setattr(lapeq.checks, "_suite", recorded)
+    reports = run_all(budget="small")
+    assert sorted(claims) == [r.claim for r in reports if r.claim != "odd-branch-experiment"]
+    assert next(r for r in reports if r.claim == "family").evidence["instances"] == 6
 
 
 def test_run_all_rejects_unknown_budget():
