@@ -19,7 +19,6 @@ from .construct import (
     MirrorDecomposition,
     StarlikeSpec,
     build_mirror,
-    build_starlike,
     cross_edge,
     generate_family,
     insert_cross_edges,
@@ -159,57 +158,73 @@ def check_path_replacement(dec: MirrorDecomposition) -> CheckReport:
     return _replacement_report("path-replacement", dec, unit_vector(k), removed, added, {})
 
 
-def _tree_and_companion(spec: StarlikeSpec | Iterable[int], k: int) -> tuple[Graph, Graph, dict]:
-    """The starlike tree of spec, its companion with a cross edge between the
-    two length-k branches, and the evidence that names the instance."""
-    if not isinstance(spec, StarlikeSpec):
-        spec = StarlikeSpec(spec)
+def _starlike(branches: Sequence[int], ks: Iterable[int]) -> tuple[Graph, list[tuple[Graph, dict]]]:
+    """The spider of branches, built once, and for each k in ks its companion
+    with a cross edge between the first two length-k branches, with the
+    evidence that names that instance."""
+    tree = spider(branches)
+    named = [{"n": tree.n, "k": k, "branches": list(branches)} for k in ks]
+    return tree, [(tree.add_edges([cross_edge(branches, ev["k"])]), ev) for ev in named]
+
+
+def _energy_outcomes(branches: Sequence[int], ks: Iterable[int]) -> Iterator[tuple[bool, dict]]:
+    """(ok, evidence) of the energy claim for each k of one branch profile;
+    the tree is solved once for all of them."""
+    tree, companions = _starlike(branches, ks)
+    spec_tree = laplacian_spectrum(tree)
+    le_tree = laplacian_energy(tree, spec_tree)
+    for g2, evidence in companions:
+        spec_uni = laplacian_spectrum(g2)
+        le_uni = laplacian_energy(g2, spec_uni)
+        direct = le_uni - le_tree
+        evidence.update(le_tree=le_tree, le_unicyclic=le_uni, direct_diff=direct)
+        try:
+            formula = delta_le(tree, g2, spectra=(spec_tree, spec_uni))
+        except SigmaMismatchError as exc:
+            evidence.update(error=str(exc), max_residual=None)
+            yield False, evidence
+            continue
+        resid = max(abs(direct), abs(formula - direct))
+        evidence.update(formula_diff=formula, max_residual=resid)
+        yield resid <= RESIDUAL_TOL, evidence
+
+
+def _sigma_outcomes(branches: Sequence[int], ks: Iterable[int]) -> Iterator[tuple[bool, dict]]:
+    """(ok, evidence) of the sigma claim for each k of one branch profile:
+    the tree's sigma is counted exactly, once; each companion's on its dense
+    spectrum within SPECTRUM_TOL."""
+    tree, companions = _starlike(branches, ks)
+    s_tree = sigma_tree(tree)
+    half_n = tree.n // 2
+    for g2, evidence in companions:
+        s_uni = sigma_count(laplacian_spectrum(g2), float(average_degree(g2)))
+        evidence.update(sigma_tree=s_tree, sigma_unicyclic=s_uni, half_n=half_n)
+        yield s_tree == s_uni == half_n, evidence
+
+
+def _one_k(outcomes, spec: StarlikeSpec | Iterable[int], k: int) -> tuple[bool, dict]:
+    """The one-k case of a per-profile outcome generator, for a replacement-
+    eligible profile and an even k."""
     if k % 2:
         raise ValueError(f"k must be even, got {k}")
-    g = build_starlike(spec)
-    g2 = g.add_edges([cross_edge(spec.branches, k)])
-    return g, g2, {"n": spec.n, "k": k, "branches": list(spec.branches)}
+    branches = (spec if isinstance(spec, StarlikeSpec) else StarlikeSpec(spec)).branches
+    return next(outcomes(branches, (k,)))
 
 
 def check_energy_equality(spec: StarlikeSpec | Iterable[int], k: int) -> CheckReport:
     """A cross edge between the two length-k branches preserves Laplacian
     energy, and the partial-sum formula reproduces the (zero) difference;
     that formula's sigma hypothesis is checked by sigma_count at SPECTRUM_TOL."""
-    g, g2, evidence = _tree_and_companion(spec, k)
-    spec_tree = laplacian_spectrum(g)
-    spec_uni = laplacian_spectrum(g2)
-    le_tree = laplacian_energy(g, spec_tree)
-    le_uni = laplacian_energy(g2, spec_uni)
-    direct = le_uni - le_tree
-    evidence.update(le_tree=le_tree, le_unicyclic=le_uni, direct_diff=direct)
-    try:
-        formula = delta_le(g, g2, spectra=(spec_tree, spec_uni))
-    except SigmaMismatchError as exc:
-        evidence["error"] = str(exc)
-        evidence["max_residual"] = None
-        return CheckReport("energy", False, RESIDUAL_TOL, evidence)
-    evidence["formula_diff"] = formula
-    resid = max(abs(direct), abs(formula - direct))
-    evidence["max_residual"] = resid
-    return CheckReport("energy", resid <= RESIDUAL_TOL, RESIDUAL_TOL, evidence)
-
-
-def _sigmas(tree: Graph, companion: Graph) -> tuple[int, int]:
-    """sigma of a tree, counted exactly, and of its cross-edge companion,
-    counted on the companion's dense spectrum within SPECTRUM_TOL."""
-    spec = laplacian_spectrum(companion)
-    return sigma_tree(tree), sigma_count(spec, float(average_degree(companion)))
+    ok, evidence = _one_k(_energy_outcomes, spec, k)
+    return CheckReport("energy", ok, RESIDUAL_TOL, evidence)
 
 
 def check_sigma(spec: StarlikeSpec | Iterable[int], k: int) -> CheckReport:
     """Both the tree and its cross-edge companion have exactly n/2 Laplacian
     eigenvalues at or above their average degree: exactly counted on the
     tree, and counted on the companion's dense spectrum within SPECTRUM_TOL."""
-    g, g2, evidence = _tree_and_companion(spec, k)
-    s_tree, s_uni = _sigmas(g, g2)
-    half_n = g.n // 2
-    evidence.update(sigma_tree=s_tree, sigma_unicyclic=s_uni, half_n=half_n)
-    return CheckReport("sigma", s_tree == s_uni == half_n, SPECTRUM_TOL, evidence)
+    ok, evidence = _one_k(_sigma_outcomes, spec, k)
+    return CheckReport("sigma", ok, SPECTRUM_TOL, evidence)
 
 
 def check_family(ell: int, gamma: int = 1, placement: str | Sequence[int] = "even") -> CheckReport:
@@ -406,43 +421,32 @@ def iter_starlike_specs(max_n: int) -> Iterator[StarlikeSpec]:
                 yield StarlikeSpec(evens + (odd,))
 
 
-def _starlike_grid(max_n: int) -> list[tuple[StarlikeSpec, int]]:
-    """Every eligible branch profile with n <= max_n, paired with each of its
-    admissible even branch lengths."""
-    return [(spec, k) for spec in iter_starlike_specs(max_n) for k in spec.admissible_lengths()]
-
-
 def energy_sweep(max_n: int = 30) -> CheckReport:
-    """check_energy_equality over every eligible branch profile with n <= max_n
-    and every admissible even branch length."""
-    grid = _starlike_grid(max_n)
+    """The energy claim over every eligible branch profile with n <= max_n
+    and every admissible even branch length, one tree solve per profile."""
+    specs = list(iter_starlike_specs(max_n))
 
     def outcomes():
-        for spec, k in grid:
-            rep = check_energy_equality(spec, k)
-            resid = rep.evidence["max_residual"]
-            yield rep.ok, resid, {"branches": list(spec.branches), "k": k, "residual": resid}
+        for spec in specs:
+            for ok, ev in _energy_outcomes(spec.branches, spec.admissible_lengths()):
+                resid = ev["max_residual"]
+                yield ok, resid, {"branches": ev["branches"], "k": ev["k"], "residual": resid}
 
-    specs = len({spec for spec, _ in grid})
     where = f"the starlike grid up to max_n={max_n}"
-    return _suite("energy", RESIDUAL_TOL, outcomes(), where, max_n=max_n, specs=specs)
+    return _suite("energy", RESIDUAL_TOL, outcomes(), where, max_n=max_n, specs=len(specs))
 
 
 def sigma_sweep(max_n: int = 30) -> CheckReport:
-    """check_sigma over the same instance grid as energy_sweep."""
-
-    def outcomes():
-        for spec, k in _starlike_grid(max_n):
-            rep = check_sigma(spec, k)
-            yield rep.ok, None, {
-                "branches": list(spec.branches),
-                "k": k,
-                "sigma_tree": rep.evidence["sigma_tree"],
-                "sigma_unicyclic": rep.evidence["sigma_unicyclic"],
-            }
-
+    """The sigma claim over the same instance grid as energy_sweep, one exact
+    tree count per profile."""
+    keys = ("branches", "k", "sigma_tree", "sigma_unicyclic")
+    outcomes = (
+        (ok, None, {key: ev[key] for key in keys})
+        for spec in iter_starlike_specs(max_n)
+        for ok, ev in _sigma_outcomes(spec.branches, spec.admissible_lengths())
+    )
     where = f"the starlike grid up to max_n={max_n}"
-    return _suite("sigma", SPECTRUM_TOL, outcomes(), where, max_n=max_n)
+    return _suite("sigma", SPECTRUM_TOL, outcomes, where, max_n=max_n)
 
 
 def family_sweep(ells: Sequence[int] = (2, 3), gammas: Sequence[int] = (1, 2)) -> CheckReport:
@@ -525,8 +529,10 @@ def structural_suite(count: int = 100, seed: int = 7, max_n: int = 100) -> Check
 
 def odd_branch_experiment() -> CheckReport:
     """Probe sigma = n/2 on starlike trees of up to ODD_BRANCH_MAX_N vertices
-    whose odd branch breaks the < n/2 bound (beyond proven territory);
-    observations only, the report always passes."""
+    whose odd branch breaks the < n/2 bound (beyond proven territory), with
+    the per-profile code of check_sigma; observations only, the report always
+    passes."""
+    keys = ("branches", "n", "sigma_tree", "sigma_unicyclic")
     observations = []
     holds = 0
     for n in range(6, ODD_BRANCH_MAX_N + 1, 2):
@@ -534,20 +540,10 @@ def odd_branch_experiment() -> CheckReport:
             odd = n - 1 - 2 * k
             if odd < 1 or 2 * odd < n:
                 continue
-            branches = (k, k, odd)
-            g = spider(branches)  # no StarlikeSpec: these break its odd < n/2 rule
-            s_tree, s_uni = _sigmas(g, g.add_edges([cross_edge(branches, k)]))
-            match = s_tree == s_uni == n // 2
+            # not check_sigma: these profiles break StarlikeSpec's odd < n/2 rule
+            match, ev = next(_sigma_outcomes((k, k, odd), (k,)))
             holds += match
-            observations.append(
-                {
-                    "branches": list(branches),
-                    "n": n,
-                    "sigma_tree": s_tree,
-                    "sigma_unicyclic": s_uni,
-                    "matches_half_n": match,
-                }
-            )
+            observations.append({**{key: ev[key] for key in keys}, "matches_half_n": match})
     evidence = {
         "instances": len(observations),
         "holds": holds,

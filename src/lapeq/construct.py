@@ -144,10 +144,6 @@ class StarlikeSpec:
     def n(self) -> int:
         return 1 + sum(self.branches)
 
-    @property
-    def odd_branch(self) -> int:
-        return self.branches[-1]
-
     def admissible_lengths(self) -> tuple[int, ...]:
         """Even lengths appearing at least twice, ascending."""
         even = self.branches[:-1]

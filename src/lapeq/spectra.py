@@ -52,7 +52,7 @@ class Spectrum:
         return math.fsum(self.values)
 
     def rounded(self, ndigits: int = 5) -> tuple[float, ...]:
-        return tuple(round(v, ndigits) for v in self.values)
+        return tuple(round(v, ndigits) + 0.0 for v in self.values)  # + 0.0 turns -0.0 into 0.0
 
     def multiplicity(self, x: float, tol: float = SPECTRUM_TOL) -> int:
         return sum(1 for v in self.values if abs(v - x) <= tol)

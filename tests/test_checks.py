@@ -10,6 +10,7 @@ import lapeq.checks
 import lapeq.construct
 import lapeq.graphs
 import lapeq.spectra
+import lapeq.treecount
 from lapeq.checks import (
     CheckReport,
     check_energy_equality,
@@ -170,6 +171,24 @@ def test_each_spectrum_is_solved_once(solve_orders, capsys):
     for fmt in ("text", "json", "csv"):
         assert main(["spectrum", "cycle:9", "--format", fmt]) == 0
     assert solve_orders == [9] * 3
+
+
+def test_sweeps_solve_and_count_each_tree_once(solve_orders, monkeypatch):
+    # 29 profiles up to n = 14, 30 instances: (2, 2, 4, 4, 1) admits k = 2 and k = 4
+    counts = []
+    locate = lapeq.treecount.jt_locate
+
+    def counted(g, *args, **kwargs):
+        counts.append(g.n)
+        return locate(g, *args, **kwargs)
+
+    monkeypatch.setattr(lapeq.treecount, "jt_locate", counted)
+    energy = energy_sweep(max_n=14)
+    assert (energy.evidence["specs"], energy.evidence["instances"]) == (29, 30)
+    assert len(solve_orders) == 29 + 30 and counts == []
+    solve_orders.clear()
+    assert sigma_sweep(max_n=14).evidence["instances"] == 30
+    assert (len(counts), len(solve_orders)) == (29, 30)
 
 
 def test_companions_skip_the_mirror_round_trip(monkeypatch):

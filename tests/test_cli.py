@@ -256,6 +256,15 @@ def test_spectrum_text_path4(capsys):
     assert "spectrum_5dp: [3.41421, 2.0, 0.58579, 0.0]" in out  # 2 +- sqrt(2), 2, 0
 
 
+def test_spectrum_rounds_a_tiny_negative_zero_to_zero(capsys):
+    # the solver returns the zero eigenvalue of cycle(8) as about -6.6e-17
+    rounded = "[4.0, 3.41421, 3.41421, 2.0, 2.0, 0.58579, 0.58579, 0.0]"
+    assert main(["spectrum", "cycle:8"]) == 0
+    assert f"spectrum_5dp: {rounded}\n" in capsys.readouterr().out
+    assert main(["spectrum", "cycle:8", "--format", "json"]) == 0
+    assert f'"spectrum_5dp": {rounded}' in capsys.readouterr().out
+
+
 def test_spectrum_csv(capsys):
     assert main(["spectrum", "path:2", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -384,7 +393,7 @@ def test_verify_branches_dense_limit_checked_first(claim, monkeypatch, tmp_path,
     def refuse(*args, **kwargs):
         raise AssertionError("no tree is built past the dense limit")
 
-    for name in ("build_starlike", "spider", "starlike_mirror"):
+    for name in ("spider", "starlike_mirror"):
         monkeypatch.setattr(lapeq.checks, name, refuse)
     assert main(["verify", claim, "--branches", "2,2,1", "--k", "2"]) == 2
     assert capsys.readouterr().err == (

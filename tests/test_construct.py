@@ -123,7 +123,6 @@ def test_insert_cross_edges_rejects_existing_edge():
 def test_starlike_spec_canonical_order():
     spec = StarlikeSpec((2, 2, 4, 4, 6, 6, 8, 8, 2, 1))
     assert spec.branches == (2, 2, 2, 4, 4, 6, 6, 8, 8, 1)
-    assert spec.odd_branch == 1
     assert spec.n == 44
 
 
