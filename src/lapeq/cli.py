@@ -91,18 +91,21 @@ def _print_graph_summary(g: Graph) -> None:
     print(f"class: {classify(g)}")
 
 
-def cmd_build_starlike(args) -> int:
-    from .construct import build_starlike
-
-    g = build_starlike(parse_branches(args.branches))
+def _write_built(g: Graph, args, default_name: str) -> int:
+    """Summary, edge list (--out, else default_name) and optional DOT of a build."""
     _print_graph_summary(g)
-    out = args.out or os.path.join(
-        _outdir(), f"starlike_{'-'.join(args.branches.split(','))}.edges"
-    )
-    _write(out, format_edge_list(g))
+    _write(args.out or os.path.join(_outdir(), default_name), format_edge_list(g))
     if args.dot:
         _write(args.dot, format_dot(g))
     return 0
+
+
+def cmd_build_starlike(args) -> int:
+    from .construct import build_starlike
+
+    branches = parse_branches(args.branches)
+    name = f"starlike_{'-'.join(map(str, branches))}.edges"
+    return _write_built(build_starlike(branches), args, name)
 
 
 def cmd_build_family(args) -> int:
@@ -130,15 +133,8 @@ def cmd_build_mirror(args) -> int:
     g = dec.graph
     if args.cross is not None:
         g = insert_cross_edges(dec, parse_binary(args.cross))
-    _print_graph_summary(g)
-    out = args.out or os.path.join(
-        _outdir(),
-        f"mirror_k{dec.k}_n{dec.n}{'_crossed' if args.cross is not None else ''}.edges",
-    )
-    _write(out, format_edge_list(g))
-    if args.dot:
-        _write(args.dot, format_dot(g))
-    return 0
+    crossed = "_crossed" if args.cross is not None else ""
+    return _write_built(g, args, f"mirror_k{dec.k}_n{dec.n}{crossed}.edges")
 
 
 def cmd_spectrum(args) -> int:

@@ -458,7 +458,7 @@ EVIDENCE_KEYS = {
     "energy": RESIDUAL_KEYS | {"max_n", "specs"},
     "family": RESIDUAL_KEYS | {"ells", "gammas"},
     "jt-oracle": SUITE_KEYS | {"max_n", "ambiguous_instances"},
-    "odd-branch-experiment": {"instances", "holds", "observations"},
+    "odd-branch-experiment": SUITE_KEYS | {"max_n"},
     "path-replacement": RESIDUAL_KEYS | {"examples"},
     "replacement": RESIDUAL_KEYS | {"max_core", "max_host"},
     "sigma": SUITE_KEYS | {"max_n"},
@@ -499,11 +499,22 @@ def test_odd_branch_experiment_is_observational():
     rep = odd_branch_experiment()
     assert rep.ok  # always: it records observations, it proves nothing
     assert rep.claim == "odd-branch-experiment"
-    assert rep.evidence["instances"] == len(rep.evidence["observations"])
-    assert rep.evidence["instances"] > 0
-    for obs in rep.evidence["observations"]:
-        odd = obs["branches"][-1]
-        assert 2 * odd >= obs["n"]  # exactly the cases the proven bound excludes
+    assert rep.tolerance == 1e-9
+    assert rep.evidence == {"instances": 40, "failures": [], "failure_count": 0, "max_n": 40}
+
+
+def test_odd_branch_experiment_lists_breaks_without_failing(monkeypatch):
+    true_count = lapeq.checks.sigma_tree
+    monkeypatch.setattr(lapeq.checks, "sigma_tree", lambda tree: true_count(tree) + 1)
+    rep = odd_branch_experiment()
+    assert rep.ok  # a break is an observation, not a failure of the battery
+    assert rep.evidence["instances"] == rep.evidence["failure_count"] == 40
+    assert len(rep.evidence["failures"]) == 10
+    for record in rep.evidence["failures"]:
+        n = 1 + sum(record["branches"])
+        assert 2 * record["branches"][-1] >= n  # exactly the cases the proven bound excludes
+        assert record["sigma_tree"] == record["sigma_unicyclic"] + 1
+    assert not sigma_sweep(8).ok
 
 
 # --- integer characteristic polynomial --------------------------------------------
@@ -672,7 +683,7 @@ def test_run_all_small_budget():
     assert all(r.ok for r in reports)
 
 
-def test_every_claim_but_the_probe_reports_through_one_helper(monkeypatch):
+def test_every_claim_reports_through_one_helper(monkeypatch):
     claims = []
     suite = lapeq.checks._suite
 
@@ -682,7 +693,8 @@ def test_every_claim_but_the_probe_reports_through_one_helper(monkeypatch):
 
     monkeypatch.setattr(lapeq.checks, "_suite", recorded)
     reports = run_all(budget="small")
-    assert sorted(claims) == [r.claim for r in reports if r.claim != "odd-branch-experiment"]
+    assert sorted(claims) == [r.claim for r in reports]
+    assert len(claims) == 9
     assert next(r for r in reports if r.claim == "family").evidence["instances"] == 6
 
 

@@ -156,6 +156,15 @@ def test_build_starlike_dot_and_custom_out(tmp_path, capsys):
     assert dot.read_text().startswith("graph {")
 
 
+@pytest.mark.parametrize("text", ["4, 4,2,2,3", "04,4,2,2,3"])
+def test_build_starlike_names_the_file_from_the_parsed_lengths(tmp_path, capsys, text):
+    assert main(["build", "starlike", "--branches", text]) == 0
+    written = tmp_path / "starlike_4-4-2-2-3.edges"
+    assert f"wrote {written}" in capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == [written.name]
+    assert load_graph(written) == build_starlike((4, 4, 2, 2, 3))
+
+
 def test_build_family(tmp_path, capsys):
     assert main(["build", "family", "--ell", "2"]) == 0
     out = capsys.readouterr().out
