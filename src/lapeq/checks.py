@@ -8,6 +8,7 @@ complete. Random-instance suites take a seed and record it in the report.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -140,7 +141,7 @@ def check_spectral_replacement(dec: MirrorDecomposition, cross: Sequence[int]) -
     spect(L(core) + link diag) leaves the Laplacian spectrum and
     spect(same + 2*cross diag) enters it."""
     h = linked_core_matrix(dec.core, dec.link)
-    cross_v = tuple(int(x) for x in cross)
+    cross_v = tuple(map(operator.index, cross))
     removed = sym_eigenvalues(h)
     added = sym_eigenvalues(h + 2.0 * np.diag(np.asarray(cross_v, dtype=float)))
     evidence = {"link": list(dec.link), "cross": list(cross_v)}

@@ -85,15 +85,22 @@ def _write(path_out: str, content: str) -> None:
     print(f"wrote {path_out}")
 
 
-def _print_graph_summary(g: Graph) -> None:
-    print(f"n: {g.n}")
-    print(f"edges: {g.num_edges}")
-    print(f"class: {classify(g)}")
+def _print_payload(payload: dict, fmt: str = "text") -> None:
+    """payload as one JSON object, or as one `key: value` line per entry in its order."""
+    if fmt == "json":
+        print(json.dumps(payload, sort_keys=True))  # tuples become arrays
+    else:
+        for key, value in payload.items():
+            print(f"{key}: {value}")
+
+
+def _graph_fields(g: Graph) -> dict:
+    return {"n": g.n, "edges": g.num_edges, "class": classify(g)}
 
 
 def _write_built(g: Graph, args, default_name: str) -> int:
     """Summary, edge list (--out, else default_name) and optional DOT of a build."""
-    _print_graph_summary(g)
+    _print_payload(_graph_fields(g))
     _write(args.out or os.path.join(_outdir(), default_name), format_edge_list(g))
     if args.dot:
         _write(args.dot, format_dot(g))
@@ -118,8 +125,7 @@ def cmd_build_family(args) -> int:
         _outdir(), f"family_ell{args.ell}_gamma{args.gamma}_{tag}"
     )
     manifest = write_family(outdir, args.ell, args.gamma, placement)
-    print(f"n: {manifest['n']}")
-    print(f"graphs: {len(manifest['graphs'])}")
+    _print_payload({"n": manifest["n"], "graphs": len(manifest["graphs"])})
     print(f"wrote {os.path.join(outdir, 'manifest.json')}")
     return 0
 
@@ -143,22 +149,13 @@ def cmd_spectrum(args) -> int:
     g = parse_graph_arg(args.graph)
     check_dense_order(g.n)
     spec = laplacian_spectrum(g)
-    report = energy_report(g, spec)
-    if args.format == "json":
-        payload = dict(report)
-        payload["class"] = classify(g)
-        payload["spectrum"] = list(spec.values)
-        payload["spectrum_5dp"] = list(spec.rounded(5))
-        print(json.dumps(payload, sort_keys=True))
-    elif args.format == "csv":
+    if args.format == "csv":
         print(spec.to_csv(), end="")
-    else:
-        _print_graph_summary(g)
-        print(f"avg_degree: {report['avg_degree']!r}")
-        print(f"sigma: {report['sigma']}")
-        print(f"energy: {report['energy']!r}")
-        print(f"spectrum: {list(spec.values)!r}")
-        print(f"spectrum_5dp: {list(spec.rounded(5))!r}")
+        return 0
+    # energy_report's n and edges keep their places; its other fields follow class
+    payload = {**_graph_fields(g), **energy_report(g, spec), "spectrum": list(spec.values)}
+    payload["spectrum_5dp"] = list(spec.rounded(5))
+    _print_payload(payload, args.format)
     return 0
 
 
@@ -167,27 +164,15 @@ def cmd_jt(args) -> int:
 
     g = parse_graph_arg(args.graph)
     res = jt_locate(g, parse_alpha(args.alpha), root=args.root)
-    cut = sorted(res.cut_edges)
-    if args.format == "json":
-        payload = {
-            "alpha": args.alpha,
-            "above": res.above,
-            "equal": res.equal,
-            "below": res.below,
-            "cut_edges": [list(e) for e in cut],
-        }
-        if args.values:
-            payload["values"] = {str(v): str(res.final_values[v]) for v in sorted(res.final_values)}
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"alpha: {args.alpha}")
-        print(f"above: {res.above}")
-        print(f"equal: {res.equal}")
-        print(f"below: {res.below}")
-        print(f"cut_edges: {cut!r}")
-        if args.values:
-            for v in sorted(res.final_values):
-                print(f"a({v}) = {res.final_values[v]}")
+    payload = {"alpha": args.alpha, "above": res.above, "equal": res.equal, "below": res.below}
+    payload["cut_edges"] = sorted(res.cut_edges)
+    values = sorted(res.final_values.items()) if args.values else []
+    if args.values and args.format == "json":
+        payload["values"] = {str(v): str(x) for v, x in values}
+    _print_payload(payload, args.format)
+    if args.format == "text":
+        for v, x in values:
+            print(f"a({v}) = {x}")
     return 0
 
 
@@ -200,23 +185,24 @@ def _verify_family(c, a):
 
 
 # claim -> its reports from the checks module c; path-replacement, energy and
-# sigma check the single --branches/--k instance when both are given, else
-# their default sweep. --max-n defaults to None, so that cmd_verify can tell it
-# apart from a --branches instance; the sweeps then run to c.SWEEP_MAX_N.
+# sigma check the single --branches/--k instance when both are given (cmd_verify
+# has parsed a.branches into lengths), else their default sweep. --max-n
+# defaults to None, so that cmd_verify can tell it apart from a --branches
+# instance; the sweeps then run to c.SWEEP_MAX_N.
 _VERIFY = {
     "replacement": lambda c, a: [c.replacement_suite(count=a.count, seed=a.seed)],
     "path-replacement": lambda c, a: [
-        c.check_path_replacement(c.starlike_mirror(parse_branches(a.branches), a.k))
+        c.check_path_replacement(c.starlike_mirror(a.branches, a.k))
         if a.branches is not None
         else c.path_replacement_examples()
     ],
     "energy": lambda c, a: [
-        c.check_energy_equality(parse_branches(a.branches), a.k)
+        c.check_energy_equality(a.branches, a.k)
         if a.branches is not None
         else c.energy_sweep(max_n=c.SWEEP_MAX_N if a.max_n is None else a.max_n)
     ],
     "sigma": lambda c, a: [
-        c.check_sigma(parse_branches(a.branches), a.k)
+        c.check_sigma(a.branches, a.k)
         if a.branches is not None
         else c.sigma_sweep(max_n=c.SWEEP_MAX_N if a.max_n is None else a.max_n)
     ],
@@ -237,7 +223,8 @@ def cmd_verify(args) -> int:
     if branches is not None and getattr(args, "max_n", None) is not None:
         raise ValueError("--max-n cannot be combined with --branches")
     if branches is not None:  # the single instance's tree is solved densely
-        check_dense_order(1 + sum(parse_branches(branches)))
+        args.branches = parse_branches(branches)
+        check_dense_order(1 + sum(args.branches))
     reports = _VERIFY[args.claim](checks, args)
     print(checks.format_report_table(reports))
     out = args.report or os.path.join(_outdir(), f"verify_{args.claim}.json")

@@ -9,6 +9,7 @@ root exactly when link[i-1] = 1. Inserting cross edges between mirror pairs
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -19,7 +20,7 @@ BinaryVector = tuple[int, ...]
 
 
 def _as_binary(vec: Sequence[int], k: int, name: str) -> BinaryVector:
-    v = tuple(int(x) for x in vec)
+    v = tuple(map(operator.index, vec))
     if len(v) != k:
         raise ValueError(f"{name} vector has length {len(v)}, expected {k}")
     if any(x not in (0, 1) for x in v):
@@ -122,7 +123,7 @@ class StarlikeSpec:
     branches: tuple[int, ...]
 
     def __init__(self, branches: Iterable[int]):
-        lens = [int(b) for b in branches]
+        lens = list(map(operator.index, branches))
         if len(lens) < 3:
             raise ValueError(f"need at least 3 branches, got {len(lens)}")
         if any(b < 1 for b in lens):
@@ -153,7 +154,7 @@ class StarlikeSpec:
 def spider(branches: Sequence[int]) -> Graph:
     """Tree with center vertex 1 and one path per requested branch length,
     labeled consecutively outward from the center."""
-    lens = [int(b) for b in branches]
+    lens = list(map(operator.index, branches))
     if not lens or any(b < 1 for b in lens):
         raise ValueError("branch lengths must be positive integers")
     edges = []
@@ -172,7 +173,7 @@ def cross_edge(branches: Sequence[int], k: int) -> Edge:
     spider(branches), from the lengths alone: branch j ends at vertex
     1 + b_1 + ... + b_j."""
     outer, end = [], 1
-    for b in map(int, branches):
+    for b in map(operator.index, branches):
         end += b
         if b == k:
             outer.append(end)
@@ -198,7 +199,7 @@ def starlike_mirror(branches: Sequence[int], k: int) -> MirrorDecomposition:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    rest = [int(b) for b in branches]
+    rest = list(map(operator.index, branches))
     if len(rest) < 3:
         raise ValueError(f"need at least 3 branches, got {len(rest)}")
     if rest.count(k) < 2:
@@ -240,7 +241,7 @@ def family_branches(
         else:
             raise ValueError(f"unknown placement policy {placement!r}")
     else:
-        filler = [int(b) for b in placement]
+        filler = list(map(operator.index, placement))
         if any(b < 2 or b % 2 for b in filler):
             raise ValueError("explicit filler branches must be even and >= 2")
         if sum(filler) != extra:

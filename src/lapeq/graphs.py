@@ -11,6 +11,7 @@ import bisect
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -39,6 +40,7 @@ def check_dense_order(n: int) -> None:
 
 
 def _normalize_edge(u: int, v: int) -> Edge:
+    u, v = index(u), index(v)  # TypeError for a float or a string label
     if u == v:
         raise ValueError(f"loop edge ({u}, {v}) not allowed")
     return (u, v) if u < v else (v, u)
@@ -52,6 +54,7 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        n = index(n)
         if n < 1:
             raise ValueError(f"need at least one vertex, got n={n}")
         seen: set[Edge] = set()

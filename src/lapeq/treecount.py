@@ -190,9 +190,8 @@ def _charpoly(g: Graph, diagonal: Sequence[int]) -> tuple[int, ...]:
         return _berkowitz(diagonal, adj)
     cycle: list[int] = []
     if cyclomatic:
-        start = _cycle(g.edges, parent)[0]
-        order, parent = _walk(adj, chain((start,), range(1, n + 1)))
         cycle = _cycle(g.edges, parent)
+        order, parent = _walk(adj, chain((cycle[0],), range(1, n + 1)))
         for w in cycle:
             parent[w] = 0  # each cycle vertex keeps the tree hanging from it
     bound = -(-(n + sum(diagonal)) ** n // n**n)

@@ -99,6 +99,11 @@ def test_replacement_check_zero_cross_is_identity():
     assert rep.evidence["removed"] == rep.evidence["added"]
 
 
+def test_replacement_check_rejects_a_non_integral_cross():
+    with pytest.raises(TypeError):  # int() read (1, 0.5, 1) as (1, 0, 1)
+        check_spectral_replacement(example_dec(), (1, 0.5, 1))
+
+
 def test_replacement_check_reports_failure_without_raising():
     # shape-valid decomposition whose graph was never mirror-assembled
     dec = MirrorDecomposition(path(2), path(1), root=1, link=(1, 1), graph=path(5))

@@ -274,6 +274,53 @@ def test_spectrum_rounds_a_tiny_negative_zero_to_zero(capsys):
     assert f'"spectrum_5dp": {rounded}' in capsys.readouterr().out
 
 
+SPECTRUM_GOLDEN = {
+    ("path:4", "text"): (
+        "n: 4\nedges: 3\nclass: tree\navg_degree: 1.5\nsigma: 2\nenergy: 4.828427124746189\n"
+        "spectrum: [3.414213562373094, 2.0, 0.585786437626905, 5.0450834795003976e-17]\n"
+        "spectrum_5dp: [3.41421, 2.0, 0.58579, 0.0]\n"
+    ),
+    ("path:4", "json"): (
+        '{"avg_degree": 1.5, "class": "tree", "edges": 3, "energy": 4.828427124746189, '
+        '"n": 4, "sigma": 2, "spectrum": [3.414213562373094, 2.0, 0.585786437626905, '
+        '5.0450834795003976e-17], "spectrum_5dp": [3.41421, 2.0, 0.58579, 0.0]}\n'
+    ),
+    ("cycle:8", "text"): (
+        "n: 8\nedges: 8\nclass: unicyclic\navg_degree: 2.0\nsigma: 5\n"
+        "energy: 9.656854249492383\n"
+        "spectrum: [4.0, 3.414213562373095, 3.4142135623730945, 1.9999999999999996, "
+        "1.9999999999999987, 0.5857864376269042, 0.5857864376269037, -6.591949208711867e-17]\n"
+        "spectrum_5dp: [4.0, 3.41421, 3.41421, 2.0, 2.0, 0.58579, 0.58579, 0.0]\n"
+    ),
+    ("cycle:8", "json"): (
+        '{"avg_degree": 2.0, "class": "unicyclic", "edges": 8, "energy": 9.656854249492383, '
+        '"n": 8, "sigma": 5, "spectrum": [4.0, 3.414213562373095, 3.4142135623730945, '
+        "1.9999999999999996, 1.9999999999999987, 0.5857864376269042, 0.5857864376269037, "
+        '-6.591949208711867e-17], "spectrum_5dp": [4.0, 3.41421, 3.41421, 2.0, 2.0, 0.58579, '
+        '0.58579, 0.0]}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("graph, fmt", sorted(SPECTRUM_GOLDEN))
+def test_spectrum_golden(graph, fmt, capsys):
+    # the unrounded spectrum keeps LAPACK's last digits, its zero eigenvalue too
+    assert main(["spectrum", graph, "--format", fmt]) == 0
+    assert capsys.readouterr().out == SPECTRUM_GOLDEN[graph, fmt]
+
+
+def test_spectrum_csv_builds_no_energy_report(monkeypatch, capsys):
+    assert main(["spectrum", "path:4", "--format", "csv"]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv prints the spectrum alone")
+
+    monkeypatch.setattr(lapeq.spectra, "energy_report", refuse)
+    assert main(["spectrum", "path:4", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_spectrum_csv(capsys):
     assert main(["spectrum", "path:2", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -461,6 +508,18 @@ def test_verify_path_replacement_rejects_bad_instances(branches, k, tmp_path, ca
     assert main(["verify", "path-replacement", "--branches", branches, "--k", k]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "verify_path-replacement.json").exists()
+
+
+def test_verify_parses_branches_once(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_branches(text)
+
+    monkeypatch.setattr(lapeq.cli, "parse_branches", counted)
+    assert main(["verify", "energy", "--branches", "2,2,1", "--k", "2"]) == 0
+    assert calls == ["2,2,1"]
 
 
 def test_verify_branches_requires_k(capsys):

@@ -27,6 +27,35 @@ from lapeq.graphs import (
 )
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph(3, [(1, 2.5)]),
+        lambda: Graph(2.5, [(1, 2)]),
+        lambda: spider([2.5, 2, 1]),
+        lambda: StarlikeSpec([2.9, 2, 1]),
+        lambda: cross_edge([2.5, 2.5, 1], 2),
+        lambda: build_mirror(path(3), cycle(5), 1, (1, 0.9, 1)),
+        lambda: Graph("3"),
+        lambda: starlike_mirror(["2", 2, 1], 2),
+        lambda: family_branches(3, 3, [2.0, 2]),
+    ],
+    ids=["edge", "order", "spider", "spec", "cross-edge", "link", "str-order", "str-branch", "filler"],
+)
+def test_builders_reject_non_integral_numbers(build):
+    # int() would truncate each of these, and Graph kept 2.5 as a vertex label
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_builders_accept_numpy_ints_and_bools():
+    g = Graph(np.int64(3), [(np.int32(1), np.int64(2)), (True, 3)])
+    assert g == Graph(3, [(1, 2), (1, 3)])
+    assert all(type(x) is int for e in g.edges for x in e) and type(g.n) is int
+    assert spider(np.array([2, 2, 1])) == spider([2, 2, True])
+    assert build_mirror(path(2), path(1), 1, np.array([1, 0])).link == (1, 0)
+
+
 def test_unit_vector():
     assert unit_vector(4) == (1, 0, 0, 0)
     assert unit_vector(4, 3) == (0, 0, 1, 0)
