@@ -2,7 +2,9 @@
 
 The structure queries and `treecount` share one walk, `_walk`, which records
 each vertex's parent: components are its runs, c is its number of roots, and
-`_cycle` reads the one cycle off the one edge its forest misses.
+`_cycle` reads the one cycle off the one edge its forest misses. Each `Graph`
+walks itself once, on first use, and keeps the result (`Graph._forest`), so
+that later queries on the same graph walk nothing.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import bisect
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import index
 from typing import Iterable, Sequence
 
@@ -79,6 +82,20 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(map(tuple, adj))
+
+    @functools.cached_property
+    def _forest(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(order, parent, cycle) of one walk over roots 1..n, built on first
+        use and read by the structure queries and `treecount`. When the
+        cyclomatic number m - n + c is exactly 1, cycle is the one cycle and
+        the walk is redone from its first vertex, so that every other vertex
+        of its component hangs from a cycle vertex; otherwise cycle is ()."""
+        order, parent = _walk(self.adjacency, range(1, self.n + 1))
+        cyc: list[int] = []
+        if self.num_edges - self.n + parent.count(0) == 1:  # a root's parent is 0
+            cyc = _cycle(self.edges, parent)
+            order, parent = _walk(self.adjacency, chain((cyc[0],), range(1, self.n + 1)))
+        return tuple(order), tuple(parent), tuple(cyc)
 
     def has_edge(self, u: int, v: int) -> bool:
         # a binary search of the sorted edges: one query builds no adjacency
@@ -176,17 +193,21 @@ def _cycle(edges: Iterable[Edge], parent: Sequence[int]) -> list[int]:
 
 
 def connected_components(g: Graph) -> list[set[int]]:
-    """Vertex sets of the components, by least vertex: the runs of one walk
-    over 1..n, split at its roots."""
-    order, parent = _walk(g.adjacency, range(1, g.n + 1))
+    """Vertex sets of the components, by least vertex: the runs of the
+    graph's walk, split at its roots. Only a walk that starts on the cycle
+    can put a run out of that order."""
+    order, parent, cyc = g._forest
     starts = [i for i, v in enumerate(order) if not parent[v]] + [g.n]
-    return [set(order[a:b]) for a, b in zip(starts, starts[1:])]
+    comps = [set(order[a:b]) for a, b in zip(starts, starts[1:])]
+    if cyc:
+        comps.sort(key=min)
+    return comps
 
 
 def classify(g: Graph) -> str:
     """One of "tree", "unicyclic", "forest", "other", from the component count
-    c of one walk and the cyclomatic number m - n + c."""
-    c = _walk(g.adjacency, range(1, g.n + 1))[1].count(0)  # a root's parent is 0
+    c of the graph's walk and the cyclomatic number m - n + c."""
+    c = g._forest[1].count(0)  # a root's parent is 0
     cyclomatic = g.num_edges - g.n + c
     if not cyclomatic:
         return "tree" if c == 1 else "forest"
@@ -196,10 +217,10 @@ def classify(g: Graph) -> str:
 def unique_cycle_length(g: Graph) -> int:
     """Length of the single cycle of a connected graph with n edges: the one
     edge its walk forest misses closes it."""
-    parent = _walk(g.adjacency, range(1, g.n + 1))[1]
+    _, parent, cyc = g._forest
     if parent.count(0) != 1 or g.num_edges != g.n:
         raise ValueError("graph is not unicyclic")
-    return len(_cycle(g.edges, parent))
+    return len(cyc)
 
 
 # --- plain-text formats ---------------------------------------------------

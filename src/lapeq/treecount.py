@@ -2,9 +2,10 @@
 and the characteristic polynomial of a graph plus an integer diagonal, in
 integers, with no float code.
 
-Both rest on one pair recurrence, `_fold`, run over a walk from
-`graphs._walk`. Each vertex v carries the value a(v) = num/den as an
-unreduced integer pair, and a child c with pair (num_c, den_c) turns it into
+Both rest on one pair recurrence, `_fold`, run over the graph's cached walk
+(`Graph._forest`), or over a fresh `graphs._walk` from a root other than 1.
+Each vertex v carries the value a(v) = num/den as an unreduced integer
+pair, and a child c with pair (num_c, den_c) turns it into
 (num*num_c - den_c*den, den*num_c), which is a(v) - 1/a(c). Without a zero
 on the way, num is the determinant of the shifted matrix on the subtree of
 v and den the product of its children's, so no gcd is ever taken. A zero
@@ -15,9 +16,10 @@ zero child becomes (2, 1), and v is detached from its parent.
 Laplacian eigenvalues of a tree lie above, at, and below alpha (Jacobs &
 Trevisan): each pair starts at (q*deg(v) - s, q), so num is
 det(q(L - alpha I)) on a subtree, and the signs of the final pairs are the
-counts. `JTResult.final_values` reduces them to `Fraction`s on first
-access. The float counts, such as sigma of a graph with a cycle, belong to
-`spectra`.
+counts. With an integer `diagonal` d the pairs start at (q*d_v - s, q) and
+count the eigenvalues of diag(d) - A(tree) instead. `JTResult.final_values`
+reduces them to `Fraction`s on first access. The float counts, such as
+sigma of a graph with a cycle, belong to `spectra`.
 
 `_charpoly(g, diagonal)` gives det(xI - M) for M = diag(diagonal) - A(g) and
 any integer diagonal with d_v >= deg v: the Laplacian for the degrees, and
@@ -32,12 +34,11 @@ import functools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import prod
-from operator import lt, mul
+from operator import index, lt, mul
 from typing import Sequence
 
-from .graphs import Graph, _cycle, _walk, average_degree
+from .graphs import Graph, _walk, average_degree
 
 
 @dataclass(frozen=True)
@@ -99,22 +100,38 @@ def _fold(
     return cut
 
 
-def jt_locate(g: Graph, alpha, root: int = 1) -> JTResult:
-    """Count Laplacian eigenvalues of a tree above / at / below a rational alpha."""
+def jt_locate(
+    g: Graph, alpha, root: int = 1, diagonal: Sequence[int] | None = None
+) -> JTResult:
+    """Count Laplacian eigenvalues of a tree above / at / below a rational
+    alpha; with an integer diagonal d (d[v - 1] for vertex v), those of
+    diag(d) - A(g) instead."""
     n = g.n
+    root = index(root)  # TypeError for a float or a string, before the range check
     if not 1 <= root <= n:
         raise ValueError(f"root {root} out of range 1..{n}")
 
     adj = g.adjacency
-    order, parent = _walk(adj, (root,))
-    # connected with n - 1 edges: the walk from the root decides "tree"
-    if len(order) != n or g.num_edges != n - 1:
+    # a tree has n - 1 edges and is connected: one root in the cached walk,
+    # or a walk from another root that reaches all n vertices
+    if root == 1:
+        order, parent, _ = g._forest
+        tree = g.num_edges == n - 1 and parent.count(0) == 1
+    else:
+        order, parent = _walk(adj, (root,))
+        tree = g.num_edges == n - 1 and len(order) == n
+    if not tree:
         raise ValueError("input graph is not a tree")
     shift = _as_exact(alpha)
     s, q = shift.numerator, shift.denominator
 
-    num = [q * len(nbrs) - s for nbrs in adj]
-    num[0] = 0
+    if diagonal is None:
+        num = [q * len(nbrs) - s for nbrs in adj]
+        num[0] = 0
+    else:
+        if len(diagonal) != n:
+            raise ValueError(f"need {n} diagonal entries, got {len(diagonal)}")
+        num = [0] + [q * index(d) - s for d in diagonal]
     den = [q] * (n + 1)
     cut = _fold(order, parent, num, den)
 
@@ -162,14 +179,16 @@ def _berkowitz(diagonal: Sequence[int], adjacency: Sequence[Sequence[int]]) -> t
 def _charpoly(g: Graph, diagonal: Sequence[int]) -> tuple[int, ...]:
     """Coefficients (leading first) of det(xI - M) as exact integers, for
     M = diag(diagonal) - A(g), where diagonal[v - 1] >= deg v for every v (so
-    M is diagonally dominant, hence PSD). One walk counts the components c;
-    a graph with cyclomatic number m - n + c of 2 or more goes to _berkowitz.
+    M is diagonally dominant, hence PSD). The graph's cached walk counts the
+    components c; a graph with cyclomatic number m - n + c of 2 or more goes
+    to _berkowitz.
 
     Otherwise chi(x) comes from the single integer chi(X) at X = 2^b
-    (Kronecker substitution). A second walk starts on the cycle, if any, so
-    that every other vertex of its component hangs from a cycle vertex. Each
-    cycle vertex becomes a root, and _fold, started at (X - d_v, 1), absorbs
-    every other vertex into its parent; the roots off the cycle are the other
+    (Kronecker substitution). The cached walk of a graph with one cycle
+    starts on the cycle, so that every other vertex of its component hangs
+    from a cycle vertex. Each cycle vertex becomes a root (in a copy of the
+    cached parents), and _fold, started at (X - d_v, 1), absorbs every other
+    vertex into its parent; the roots off the cycle are the other
     components, whose determinants multiply. The zero rule never fires: each
     num is det(XI - M) on a principal submatrix, positive since X exceeds
     every eigenvalue. Each cycle vertex w keeps (N_w, D_w): the determinant
@@ -184,14 +203,11 @@ def _charpoly(g: Graph, diagonal: Sequence[int]) -> tuple[int, ...]:
     n, adj = g.n, g.adjacency
     if len(diagonal) != n or any(map(lt, diagonal, map(len, adj[1:]))):
         raise ValueError(f"need {n} diagonal entries, each at least its vertex's degree")
-    order, parent = _walk(adj, range(1, n + 1))
-    cyclomatic = g.num_edges - n + parent.count(0)  # a root's parent is 0
-    if cyclomatic > 1:
+    order, parent, cycle = g._forest
+    if g.num_edges - n + parent.count(0) > 1:  # a root's parent is 0
         return _berkowitz(diagonal, adj)
-    cycle: list[int] = []
-    if cyclomatic:
-        cycle = _cycle(g.edges, parent)
-        order, parent = _walk(adj, chain((cycle[0],), range(1, n + 1)))
+    if cycle:
+        parent = list(parent)
         for w in cycle:
             parent[w] = 0  # each cycle vertex keeps the tree hanging from it
     bound = -(-(n + sum(diagonal)) ** n // n**n)

@@ -230,9 +230,8 @@ def test_sigma_check():
         check_sigma((2, 2, 1), 3)
 
 
-def test_check_sigma_walks_no_components(monkeypatch):
-    # counts the walk over all components behind connected_components,
-    # classify and unique_cycle_length; jt_locate holds its own binding
+def test_check_sigma_walks_the_tree_once(monkeypatch):
+    # counts every walk: the graph's cached one and jt_locate's from other roots
     walks = []
     walk = lapeq.graphs._walk
 
@@ -241,10 +240,14 @@ def test_check_sigma_walks_no_components(monkeypatch):
         return walk(adj, roots)
 
     monkeypatch.setattr(lapeq.graphs, "_walk", counted)
+    monkeypatch.setattr(lapeq.treecount, "_walk", counted)
     assert check_sigma((4, 4, 2, 2, 3), 2).ok
-    assert walks == []  # jt_locate's rooting walk decides "tree"; the companion is never walked
-    assert classify(Graph(5, [(1, 2), (3, 4)])) == "forest"
-    assert walks == [5]
+    assert walks == [16]  # sigma_tree walks the tree; the companion is never walked
+    tree = build_starlike((4, 4, 2, 2, 3))
+    assert lapeq.treecount.sigma_tree(tree) == 8
+    assert walks == [16, 16]
+    assert lapeq.treecount.sigma_tree(tree) == 8  # the second count reads the cached walk
+    assert walks == [16, 16]
 
 
 def test_family_check():

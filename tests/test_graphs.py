@@ -1,11 +1,16 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import lapeq.graphs
+import lapeq.treecount
 from lapeq.graphs import (
     Graph,
+    _cycle,
+    _walk,
     average_degree,
     classify,
     connected_components,
@@ -20,6 +25,7 @@ from lapeq.graphs import (
     star,
     unique_cycle_length,
 )
+from lapeq.treecount import _berkowitz, _charpoly, _fold, jt_locate, sigma_tree
 
 
 def test_graph_normalizes_edges():
@@ -256,6 +262,116 @@ def test_structure_queries_match_union_find(g):
     if expected != "unicyclic":
         with pytest.raises(ValueError, match="not unicyclic"):
             unique_cycle_length(g)
+
+
+def pruned_core(g):
+    """Oracle: how many vertices are left once leaves are removed one at a
+    time; the cycle length of a connected unicyclic graph."""
+    deg = [0, *g.degrees()]
+    left = set(range(1, g.n + 1))
+    leaves = [v for v in left if deg[v] == 1]
+    while leaves:
+        v = leaves.pop()
+        left.discard(v)
+        for w in g.adjacency[v]:
+            if w in left:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    leaves.append(w)
+    return len(left)
+
+
+def fresh_jt(g, alpha, root):
+    """jt_locate's pairs and cut edges over a fresh walk from root."""
+    order, parent = _walk(g.adjacency, (root,))
+    shift = Fraction(alpha)
+    s, q = shift.numerator, shift.denominator
+    num = [0] + [q * d - s for d in g.degrees()]
+    den = [q] * (g.n + 1)
+    cut = _fold(order, parent, num, den)
+    return tuple(num), tuple(den), frozenset(cut)
+
+
+@given(g=forest_plus_edges(), data=st.data())
+@example(g=Graph(6, [(2, 3), (3, 4), (2, 4), (4, 6)]), data=None)  # the cycle misses vertex 1
+@example(g=Graph(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]), data=None)  # two cycles
+def test_cached_walk_serves_every_query(g, data):
+    adj = g.adjacency
+    order, parent = _walk(adj, range(1, g.n + 1))
+    cyc = _cycle(g.edges, parent) if g.num_edges - g.n + parent.count(0) == 1 else []
+    if cyc:
+        order, parent = _walk(adj, chain((cyc[0],), range(1, g.n + 1)))
+    assert g._forest == (tuple(order), tuple(parent), tuple(cyc))
+
+    parts, closing = union_find(g.n, g.edges)
+    assert [sorted(p) for p in connected_components(g)] == sorted(parts)
+    kind = classify(g)
+    if kind == "unicyclic":
+        assert unique_cycle_length(g) == pruned_core(g) == len(cyc)
+    assert _charpoly(g, g.degrees()) == _berkowitz(g.degrees(), adj)
+    roots = [1] if data is None else [1, data.draw(st.integers(1, g.n))]
+    alpha = Fraction(3, 2) if data is None else Fraction(data.draw(st.integers(0, 4 * g.n)), 2)
+    for root in roots:
+        if kind == "tree":
+            res = jt_locate(g, alpha, root=root)
+            assert (res.num, res.den, res.cut_edges) == fresh_jt(g, alpha, root)
+        else:
+            with pytest.raises(ValueError, match="not a tree"):
+                jt_locate(g, alpha, root=root)
+    # no query changed the cached walk
+    assert g._forest == (tuple(order), tuple(parent), tuple(cyc))
+
+
+@pytest.mark.parametrize(
+    "g, first",
+    [
+        (path(6), [6]),
+        (Graph(5, [(1, 2), (4, 5)]), [5]),  # a forest
+        (Graph(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]), [5, 5]),  # the rewalk from the cycle
+        (Graph(6, [(2, 3), (3, 4), (2, 4), (4, 6)]), [6, 6]),  # the cycle misses vertex 1
+        (Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]), [4]),  # K4
+    ],
+    ids=["tree", "forest", "unicyclic", "cycle-plus-forest", "K4"],
+)
+def test_a_second_query_walks_nothing(g, first, monkeypatch):
+    walks = []
+    walk = lapeq.graphs._walk
+
+    def counted(adj, roots):
+        walks.append(len(adj) - 1)
+        return walk(adj, roots)
+
+    monkeypatch.setattr(lapeq.graphs, "_walk", counted)
+    monkeypatch.setattr(lapeq.treecount, "_walk", counted)
+    for walked in (first, []):
+        walks.clear()
+        kind = classify(g)
+        connected_components(g)
+        _charpoly(g, g.degrees())
+        if kind == "tree":
+            jt_locate(g, 1)
+            sigma_tree(g)
+        else:
+            with pytest.raises(ValueError):
+                jt_locate(g, 1)
+        if kind == "unicyclic":
+            unique_cycle_length(g)
+        assert walks == walked, kind
+
+
+def test_other_roots_walk_afresh(monkeypatch):
+    walks = []
+    walk = lapeq.treecount._walk
+
+    def counted(adj, roots):
+        walks.append(tuple(roots))
+        return walk(adj, roots)
+
+    monkeypatch.setattr(lapeq.treecount, "_walk", counted)
+    tree = path(5)
+    assert jt_locate(tree, 1, root=3) == jt_locate(tree, 1, root=3)
+    assert walks == [(3,), (3,)]
+    assert "_forest" not in vars(tree)  # the cached walk is never built for them
 
 
 @given(data=st.data(), n=st.integers(3, 16))

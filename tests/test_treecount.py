@@ -2,11 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lapeq.treecount
-from lapeq.checks import laplacian_charpoly, random_tree
+from lapeq.checks import SPECTRUM_TOL, laplacian_charpoly, random_tree
 from lapeq.construct import StarlikeSpec, build_starlike, family_branches
 from lapeq.graphs import Graph, average_degree, cycle, path, star
 from lapeq.spectra import laplacian_spectrum, sigma_count
@@ -142,6 +143,53 @@ def test_input_validation():
             jt_locate(triangle_and_isolated, 1, root=root)
     with pytest.raises(ValueError):
         jt_locate(path(3), 1, root=4)
+
+
+def test_root_must_be_an_integer():
+    for root in (1.0, 2.0, "1"):
+        with pytest.raises(TypeError):
+            jt_locate(path(3), 1, root=root)
+    assert jt_locate(path(3), 1, root=True) == jt_locate(path(3), 1)
+
+
+def test_diagonal_validation():
+    g = path(4)
+    assert jt_locate(g, Fraction(3, 2), diagonal=g.degrees()) == jt_locate(g, Fraction(3, 2))
+    for bad in ([1, 2, 2], [1, 2, 2, 1, 0]):
+        with pytest.raises(ValueError, match="need 4 diagonal entries"):
+            jt_locate(g, 1, diagonal=bad)
+    with pytest.raises(TypeError):
+        jt_locate(g, 1, diagonal=[1, 2, 2.0, 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 24))
+def test_diagonal_counts_match_dense_spectrum(data, n):
+    g = random_tree(random.Random(data.draw(st.integers(0, 10**6))), n)
+    d = data.draw(st.lists(st.integers(-4, 12), min_size=n, max_size=n))
+    den = data.draw(st.integers(1, 10))
+    alpha = Fraction(data.draw(st.integers(-8 * den, 16 * den)), den)
+    r = jt_locate(g, alpha, root=data.draw(st.integers(1, n)), diagonal=d)
+    m = np.diag(np.array(d, dtype=float))
+    for u, v in g.edges:
+        m[u - 1, v - 1] = m[v - 1, u - 1] = -1.0
+    spec = np.linalg.eigvalsh(m)
+    a = float(alpha)
+    strict_above = int(np.sum(spec > a + SPECTRUM_TOL))
+    strict_below = int(np.sum(spec < a - SPECTRUM_TOL))
+    # dense values within SPECTRUM_TOL of alpha stay ambiguous; exact counts must cover them
+    assert r.above >= strict_above and r.below >= strict_below
+    assert r.equal <= n - strict_above - strict_below
+
+
+def test_path_matrices_split_at_two():
+    """H_k (diagonal 1, 2, ..., 2) and F_k (3, 2, ..., 2) on path k have the
+    eigenvalues 2 +- 2cos(2j pi/(2k + 1)), none of them 2: for even k, k/2
+    lie above 2 and k/2 below."""
+    for k in range(2, 61, 2):
+        for first in (1, 3):
+            r = jt_locate(path(k), 2, diagonal=[first] + [2] * (k - 1))
+            assert r.counts == (k // 2, 0, k // 2), (k, first)
 
 
 def test_sigma_tree_small():
