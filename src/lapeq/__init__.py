@@ -15,14 +15,14 @@ _EXPORTS = {
     ),
     "graphs": (
         "Graph", "average_degree", "classify", "connected_components", "cycle",
-        "format_dot", "format_edge_list", "laplacian", "load_graph",
+        "format_dot", "format_edge_list", "laplacian", "laplacian_stack", "load_graph",
         "parse_edge_list", "path", "save_graph", "star", "unique_cycle_length",
     ),
     "spectra": (
         "SigmaMismatchError", "Spectrum", "SpectrumMatchError", "TridiagonalSpec",
         "cospectral", "delta_le", "energy_report", "laplacian_energy",
-        "laplacian_spectrum", "linked_core_matrix", "multiset_remove",
-        "multiset_union", "replacement_spectra", "sym_eigenvalues",
+        "laplacian_spectra", "laplacian_spectrum", "linked_core_matrix", "multiset_remove",
+        "multiset_union", "replacement_spectra", "stacked_spectra", "sym_eigenvalues",
         "tridiagonal_spectrum",
     ),
     "treecount": ("JTResult", "jt_locate", "sigma_tree"),

@@ -12,6 +12,7 @@ import operator
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -36,13 +37,14 @@ from .spectra import (
     cospectral,
     delta_le,
     laplacian_energy,
+    laplacian_spectra,
     laplacian_spectrum,
     linked_core_matrix,
     multiset_remove,
     multiset_union,
     replacement_spectra,
     sigma_count,
-    sym_eigenvalues,
+    stacked_spectra,
 )
 from .treecount import _charpoly, jt_locate, sigma_tree
 
@@ -121,8 +123,7 @@ def _replacement_report(
     added, g2 being dec.graph with the cross edges inserted; a removal that
     fails is reported as an error in the evidence."""
     g2 = insert_cross_edges(dec, cross)
-    lg = laplacian_spectrum(dec.graph)
-    lg2 = laplacian_spectrum(g2)
+    lg, lg2 = laplacian_spectra([dec.graph, g2])
     evidence.update(
         n=dec.n, k=dec.k, removed=list(removed.values), added=list(added.values), max_residual=None
     )
@@ -142,8 +143,7 @@ def check_spectral_replacement(dec: MirrorDecomposition, cross: Sequence[int]) -
     spect(same + 2*cross diag) enters it."""
     h = linked_core_matrix(dec.core, dec.link)
     cross_v = tuple(map(operator.index, cross))
-    removed = sym_eigenvalues(h)
-    added = sym_eigenvalues(h + 2.0 * np.diag(np.asarray(cross_v, dtype=float)))
+    removed, added = stacked_spectra([h, h + 2.0 * np.diag(np.asarray(cross_v, dtype=float))])
     evidence = {"link": list(dec.link), "cross": list(cross_v)}
     return _replacement_report("replacement", dec, cross_v, removed, added, evidence)
 
@@ -168,39 +168,57 @@ def _starlike(branches: Sequence[int], ks: Iterable[int]) -> tuple[Graph, list[t
     return tree, [(tree.add_edges([cross_edge(branches, ev["k"])]), ev) for ev in named]
 
 
-def _energy_outcomes(branches: Sequence[int], ks: Iterable[int]) -> Iterator[tuple[bool, dict]]:
-    """(ok, evidence) of the energy claim for each k of one branch profile;
-    the tree is solved once for all of them."""
-    tree, companions = _starlike(branches, ks)
-    spec_tree = laplacian_spectrum(tree)
-    le_tree = laplacian_energy(tree, spec_tree)
-    for g2, evidence in companions:
-        spec_uni = laplacian_spectrum(g2)
-        le_uni = laplacian_energy(g2, spec_uni)
-        direct = le_uni - le_tree
-        evidence.update(le_tree=le_tree, le_unicyclic=le_uni, direct_diff=direct)
-        try:
-            formula = delta_le(tree, g2, spectra=(spec_tree, spec_uni))
-        except SigmaMismatchError as exc:
-            evidence.update(error=str(exc), max_residual=None)
-            yield False, evidence
-            continue
-        resid = max(abs(direct), abs(formula - direct))
-        evidence.update(formula_diff=formula, max_residual=resid)
-        yield resid <= RESIDUAL_TOL, evidence
+Profiles = Iterable[tuple[Sequence[int], Iterable[int]]]
 
 
-def _sigma_outcomes(branches: Sequence[int], ks: Iterable[int]) -> Iterator[tuple[bool, dict]]:
-    """(ok, evidence) of the sigma claim for each k of one branch profile:
-    the tree's sigma is counted exactly, once; each companion's on its dense
-    spectrum within SPECTRUM_TOL."""
-    tree, companions = _starlike(branches, ks)
-    s_tree = sigma_tree(tree)
-    half_n = tree.n // 2
-    for g2, evidence in companions:
-        s_uni = sigma_count(laplacian_spectrum(g2), float(average_degree(g2)))
-        evidence.update(sigma_tree=s_tree, sigma_unicyclic=s_uni, half_n=half_n)
-        yield s_tree == s_uni == half_n, evidence
+def _solved_starlike(profiles: Profiles, trees: bool) -> Iterator[tuple]:
+    """(tree, tree spectrum or None, [(companion, its spectrum, evidence)])
+    for each (branches, ks) profile, in order. Each run of consecutive
+    profiles of one order is built first and solved as one stack: the
+    companions, and the trees too when `trees` is set."""
+    for _, run in groupby(profiles, key=lambda profile: 1 + sum(profile[0])):
+        built = [_starlike(branches, ks) for branches, ks in run]
+        graphs = []
+        for tree, companions in built:
+            graphs += [tree] if trees else []
+            graphs += [g2 for g2, _ in companions]
+        spectra = iter(laplacian_spectra(graphs) if graphs else ())
+        for tree, companions in built:
+            spec_tree = next(spectra) if trees else None
+            yield tree, spec_tree, [(g2, next(spectra), ev) for g2, ev in companions]
+
+
+def _energy_outcomes(profiles: Profiles) -> Iterator[tuple[bool, dict]]:
+    """(ok, evidence) of the energy claim for each k of each (branches, ks)
+    profile; each tree is solved once for all its ks."""
+    for tree, spec_tree, companions in _solved_starlike(profiles, trees=True):
+        le_tree = laplacian_energy(tree, spec_tree)
+        for g2, spec_uni, evidence in companions:
+            le_uni = laplacian_energy(g2, spec_uni)
+            direct = le_uni - le_tree
+            evidence.update(le_tree=le_tree, le_unicyclic=le_uni, direct_diff=direct)
+            try:
+                formula = delta_le(tree, g2, spectra=(spec_tree, spec_uni))
+            except SigmaMismatchError as exc:
+                evidence.update(error=str(exc), max_residual=None)
+                yield False, evidence
+                continue
+            resid = max(abs(direct), abs(formula - direct))
+            evidence.update(formula_diff=formula, max_residual=resid)
+            yield resid <= RESIDUAL_TOL, evidence
+
+
+def _sigma_outcomes(profiles: Profiles) -> Iterator[tuple[bool, dict]]:
+    """(ok, evidence) of the sigma claim for each k of each (branches, ks)
+    profile: each tree's sigma is counted exactly, once; each companion's on
+    its dense spectrum within SPECTRUM_TOL."""
+    for tree, _, companions in _solved_starlike(profiles, trees=False):
+        s_tree = sigma_tree(tree)
+        half_n = tree.n // 2
+        for g2, spec_uni, evidence in companions:
+            s_uni = sigma_count(spec_uni, float(average_degree(g2)))
+            evidence.update(sigma_tree=s_tree, sigma_unicyclic=s_uni, half_n=half_n)
+            yield s_tree == s_uni == half_n, evidence
 
 
 def _one_k(outcomes, spec: StarlikeSpec | Iterable[int], k: int) -> tuple[bool, dict]:
@@ -209,7 +227,7 @@ def _one_k(outcomes, spec: StarlikeSpec | Iterable[int], k: int) -> tuple[bool, 
     if k % 2:
         raise ValueError(f"k must be even, got {k}")
     branches = (spec if isinstance(spec, StarlikeSpec) else StarlikeSpec(spec)).branches
-    return next(outcomes(branches, (k,)))
+    return next(outcomes([(branches, (k,))]))
 
 
 def check_energy_equality(spec: StarlikeSpec | Iterable[int], k: int) -> CheckReport:
@@ -233,7 +251,7 @@ def check_family(ell: int, gamma: int = 1, placement: str | Sequence[int] = "eve
     and each cross edge strictly lowers the multiplicity of its top removed
     eigenvalue 2 + 2cos(2*pi/(4i+1)); all three decided at RESIDUAL_TOL."""
     graphs = generate_family(ell, gamma, placement)
-    spectra = [laplacian_spectrum(g) for g in graphs]
+    spectra = laplacian_spectra(graphs)
     energies = [laplacian_energy(g, s) for g, s in zip(graphs, spectra)]
     spread = max(energies) - min(energies)
 
@@ -424,14 +442,15 @@ def iter_starlike_specs(max_n: int) -> Iterator[StarlikeSpec]:
 
 def energy_sweep(max_n: int = 30) -> CheckReport:
     """The energy claim over every eligible branch profile with n <= max_n
-    and every admissible even branch length, one tree solve per profile."""
+    and every admissible even branch length, one tree solve per profile and
+    one stacked solve per order."""
     specs = list(iter_starlike_specs(max_n))
 
     def outcomes():
-        for spec in specs:
-            for ok, ev in _energy_outcomes(spec.branches, spec.admissible_lengths()):
-                resid = ev["max_residual"]
-                yield ok, resid, {"branches": ev["branches"], "k": ev["k"], "residual": resid}
+        profiles = ((spec.branches, spec.admissible_lengths()) for spec in specs)
+        for ok, ev in _energy_outcomes(profiles):
+            resid = ev["max_residual"]
+            yield ok, resid, {"branches": ev["branches"], "k": ev["k"], "residual": resid}
 
     where = f"the starlike grid up to max_n={max_n}"
     return _suite("energy", RESIDUAL_TOL, outcomes(), where, max_n=max_n, specs=len(specs))
@@ -439,13 +458,9 @@ def energy_sweep(max_n: int = 30) -> CheckReport:
 
 def _sigma_suite(claim: str, profiles, grid: str, max_n: int) -> CheckReport:
     """The sigma claim over the (branches, ks) profiles of the named grid,
-    one exact tree count per profile."""
+    one exact tree count per profile and one stacked solve per order."""
     keys = ("branches", "k", "sigma_tree", "sigma_unicyclic")
-    outcomes = (
-        (ok, None, {key: ev[key] for key in keys})
-        for branches, ks in profiles
-        for ok, ev in _sigma_outcomes(branches, ks)
-    )
+    outcomes = ((ok, None, {key: ev[key] for key in keys}) for ok, ev in _sigma_outcomes(profiles))
     where = f"the {grid} grid up to max_n={max_n}"
     return _suite(claim, SPECTRUM_TOL, outcomes, where, max_n=max_n)
 

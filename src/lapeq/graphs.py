@@ -3,8 +3,15 @@
 The structure queries and `treecount` share one walk, `_walk`, which records
 each vertex's parent: components are its runs, c is its number of roots, and
 `_cycle` reads the one cycle off the one edge its forest misses. Each `Graph`
-walks itself once, on first use, and keeps the result (`Graph._forest`), so
-that later queries on the same graph walk nothing.
+keeps its walks once made: the plain walk over roots 1..n
+(`Graph._plain_walk`), which components, `classify` and the tree counts
+read, and the walk redone from the one cycle (`Graph._forest`), which only
+the exact charpoly and the cycle length need. Later queries on the same
+graph walk nothing.
+
+`laplacian_stack` assembles the Laplacians of k graphs of one order with one
+scatter into a (k, n, n) array, which `spectra.stacked_spectra` solves with
+one LAPACK call; `laplacian` is its k = 1 case.
 """
 
 from __future__ import annotations
@@ -49,6 +56,23 @@ def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _edge_set(n: int, edges: Iterable[tuple[int, int]]) -> set[Edge]:
+    """The normalized edges, each checked against the range 1..n."""
+    seen: set[Edge] = set()
+    for u, v in edges:
+        e = _normalize_edge(u, v)
+        if not (1 <= e[0] and e[1] <= n):
+            raise ValueError(f"edge {e} out of range 1..{n}")
+        seen.add(e)
+    return seen
+
+
+def _has(edges: Sequence[Edge], e: Edge) -> bool:
+    # a binary search of the sorted edges: one query builds no adjacency
+    i = bisect.bisect_left(edges, e)
+    return i < len(edges) and edges[i] == e
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable graph: vertex labels 1..n, edges kept as sorted (min, max) pairs."""
@@ -60,14 +84,8 @@ class Graph:
         n = index(n)
         if n < 1:
             raise ValueError(f"need at least one vertex, got n={n}")
-        seen: set[Edge] = set()
-        for u, v in edges:
-            e = _normalize_edge(u, v)
-            if not (1 <= e[0] and e[1] <= n):
-                raise ValueError(f"edge {e} out of range 1..{n}")
-            seen.add(e)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        object.__setattr__(self, "edges", tuple(sorted(_edge_set(n, edges))))
 
     @property
     def num_edges(self) -> int:
@@ -84,24 +102,30 @@ class Graph:
         return tuple(map(tuple, adj))
 
     @functools.cached_property
-    def _forest(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """(order, parent, cycle) of one walk over roots 1..n, built on first
-        use and read by the structure queries and `treecount`. When the
-        cyclomatic number m - n + c is exactly 1, cycle is the one cycle and
-        the walk is redone from its first vertex, so that every other vertex
-        of its component hangs from a cycle vertex; otherwise cycle is ()."""
+    def _plain_walk(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(order, parent) of one walk over roots 1..n, built on first use and
+        read by components, `classify` and the tree counts; each root is the
+        least vertex of its component."""
         order, parent = _walk(self.adjacency, range(1, self.n + 1))
-        cyc: list[int] = []
-        if self.num_edges - self.n + parent.count(0) == 1:  # a root's parent is 0
-            cyc = _cycle(self.edges, parent)
-            order, parent = _walk(self.adjacency, chain((cyc[0],), range(1, self.n + 1)))
+        return tuple(order), tuple(parent)
+
+    @functools.cached_property
+    def _forest(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(order, parent, cycle), built on first use from the plain walk and
+        read by the cycle length and the exact charpoly. When the cyclomatic
+        number m - n + c is exactly 1, cycle is the one cycle and the walk is
+        redone from its first vertex, so that every other vertex of its
+        component hangs from a cycle vertex; otherwise it is the plain walk
+        and cycle is ()."""
+        order, parent = self._plain_walk
+        if self.num_edges - self.n + parent.count(0) != 1:  # a root's parent is 0
+            return order, parent, ()
+        cyc = _cycle(self.edges, parent)
+        order, parent = _walk(self.adjacency, chain((cyc[0],), range(1, self.n + 1)))
         return tuple(order), tuple(parent), tuple(cyc)
 
     def has_edge(self, u: int, v: int) -> bool:
-        # a binary search of the sorted edges: one query builds no adjacency
-        e = _normalize_edge(u, v)
-        i = bisect.bisect_left(self.edges, e)
-        return i < len(self.edges) and self.edges[i] == e
+        return _has(self.edges, _normalize_edge(u, v))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.n:
@@ -115,7 +139,13 @@ class Graph:
         return tuple(map(len, self.adjacency[1:]))
 
     def add_edges(self, new: Iterable[tuple[int, int]]) -> "Graph":
-        return Graph(self.n, list(self.edges) + list(new))
+        """This graph plus the edges of new: only those are checked, and the
+        ones not present yet are merged into the sorted edges."""
+        fresh = [e for e in _edge_set(self.n, new) if not _has(self.edges, e)]
+        g = object.__new__(Graph)
+        object.__setattr__(g, "n", self.n)
+        object.__setattr__(g, "edges", tuple(sorted(self.edges + tuple(fresh))))
+        return g
 
     def relabel(self, mapping: dict[int, int]) -> "Graph":
         """New graph with vertex v renamed mapping[v]; mapping must be a bijection on 1..n."""
@@ -140,16 +170,34 @@ def star(n: int) -> Graph:
     return Graph(n, [(1, i) for i in range(2, n + 1)])
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Degree matrix minus adjacency matrix, as a dense symmetric float array."""
+def laplacian_stack(gs: Sequence[Graph]) -> np.ndarray:
+    """The Laplacians (degree matrix minus adjacency matrix) of k >= 1 graphs
+    of one order n, as a dense (k, n, n) float array, from one scatter of all
+    their edges; ValueError for no graphs or mixed orders."""
     import numpy as np  # the only numpy use here: graph-only commands skip it
 
-    m = np.zeros((g.n, g.n))
-    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2) - 1
-    m[ends[:, 0], ends[:, 1]] = -1.0
-    m[ends[:, 1], ends[:, 0]] = -1.0
-    np.fill_diagonal(m, np.bincount(ends.ravel(), minlength=g.n))
+    if not gs:
+        raise ValueError("need at least one graph")
+    n = gs[0].n
+    if any(g.n != n for g in gs):
+        raise ValueError(f"graphs of mixed orders {sorted({g.n for g in gs})}")
+    # the graph index and the two ends of every edge of every graph
+    at = np.repeat(np.arange(len(gs)), [g.num_edges for g in gs])
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in gs)), np.intp)
+    u, v = ends[0::2] - 1, ends[1::2] - 1
+    m = np.zeros((len(gs), n, n))
+    m[at, u, v] = -1.0
+    m[at, v, u] = -1.0
+    deg = np.bincount(np.concatenate((at * n + u, at * n + v)), minlength=len(gs) * n)
+    diag = np.arange(n)
+    m[:, diag, diag] = deg.reshape(len(gs), n)
     return m
+
+
+def laplacian(g: Graph) -> np.ndarray:
+    """Degree matrix minus adjacency matrix, as a dense symmetric float array:
+    the one-graph case of `laplacian_stack`."""
+    return laplacian_stack([g])[0]
 
 
 def average_degree(g: Graph) -> Fraction:
@@ -194,20 +242,16 @@ def _cycle(edges: Iterable[Edge], parent: Sequence[int]) -> list[int]:
 
 def connected_components(g: Graph) -> list[set[int]]:
     """Vertex sets of the components, by least vertex: the runs of the
-    graph's walk, split at its roots. Only a walk that starts on the cycle
-    can put a run out of that order."""
-    order, parent, cyc = g._forest
+    graph's plain walk, split at its roots."""
+    order, parent = g._plain_walk
     starts = [i for i, v in enumerate(order) if not parent[v]] + [g.n]
-    comps = [set(order[a:b]) for a, b in zip(starts, starts[1:])]
-    if cyc:
-        comps.sort(key=min)
-    return comps
+    return [set(order[a:b]) for a, b in zip(starts, starts[1:])]
 
 
 def classify(g: Graph) -> str:
     """One of "tree", "unicyclic", "forest", "other", from the component count
     c of the graph's walk and the cyclomatic number m - n + c."""
-    c = g._forest[1].count(0)  # a root's parent is 0
+    c = g._plain_walk[1].count(0)  # a root's parent is 0
     cyclomatic = g.num_edges - g.n + c
     if not cyclomatic:
         return "tree" if c == 1 else "forest"

@@ -4,6 +4,14 @@ spectra of perturbed tridiagonal Toeplitz matrices.
 Spectra are descending-sorted real multisets with tolerance-aware matching,
 which is what the edge-insertion replacement identity needs: it removes one
 multiset from a Laplacian spectrum and unions another in.
+
+One solver entry, `stacked_spectra`, takes k symmetric matrices of one order
+n as a (k, n, n) stack: it validates them together and makes one LAPACK call
+(`np.linalg.eigvalsh`, syevd per matrix) for the whole stack.
+`laplacian_spectra` feeds it the stacked Laplacians of same-order graphs
+(`graphs.laplacian_stack`); `sym_eigenvalues` and `laplacian_spectrum` are
+the k = 1 cases. Each matrix of a stack gets the same eigenvalues, bit for
+bit, as when it is solved alone.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, average_degree, laplacian
+from .graphs import Graph, average_degree, laplacian, laplacian_stack
 
 # Absolute tolerance of eigenvalue comparisons when the caller names none.
 SPECTRUM_TOL = 1e-9
@@ -37,7 +45,7 @@ class Spectrum:
     values: tuple[float, ...]
 
     def __init__(self, values: Iterable[float]):
-        object.__setattr__(self, "values", tuple(sorted((float(v) for v in values), reverse=True)))
+        object.__setattr__(self, "values", tuple(sorted(map(float, values), reverse=True)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -69,27 +77,45 @@ class Spectrum:
 # --- eigensolver ---------------------------------------------------------------
 
 
-def _check_symmetric(m: np.ndarray) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.shape[0] == 0:
+def _check_symmetric(ms) -> np.ndarray:
+    """The matrices of ms as one (k, n, n) float array; ValueError unless
+    there is one at least and each is square of order >= 1, finite, and
+    symmetric within 1e-12 * max(1, its largest |entry|)."""
+    a = np.asarray(ms, dtype=float)
+    if not a.shape or not a.shape[0]:
+        raise ValueError("need at least one matrix")
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"matrix must be square, got shape {a.shape[1:]}")
+    if a.shape[1] == 0:
         raise ValueError("matrix must have order >= 1")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.T)) > 1e-12 * scale:
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+    if (np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12 * scale).any():
         raise ValueError("matrix is not symmetric")
     return a
 
 
+def stacked_spectra(ms) -> list[Spectrum]:
+    """The eigenvalues of each of k symmetric matrices of one order, given as
+    a (k, n, n) array or a sequence of n x n matrices: one check of the whole
+    stack and one LAPACK call (syevd, through eigvalsh) for all of them."""
+    return [Spectrum(row) for row in np.linalg.eigvalsh(_check_symmetric(ms)).tolist()]
+
+
 def sym_eigenvalues(m: np.ndarray) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, via LAPACK's syevd (eigvalsh)."""
-    return Spectrum(np.linalg.eigvalsh(_check_symmetric(m)))
+    """All eigenvalues of one symmetric matrix: the k = 1 case of stacked_spectra."""
+    return stacked_spectra(np.asarray(m, dtype=float)[np.newaxis])[0]
+
+
+def laplacian_spectra(gs: Sequence[Graph]) -> list[Spectrum]:
+    """The Laplacian spectra of k >= 1 graphs of one order, from one stacked
+    assembly and one stacked solve; ValueError for no graphs or mixed orders."""
+    return stacked_spectra(laplacian_stack(gs))
 
 
 def laplacian_spectrum(g: Graph) -> Spectrum:
-    return sym_eigenvalues(laplacian(g))
+    return laplacian_spectra([g])[0]
 
 
 def _spectrum_of(g: Graph, spectrum: Spectrum | None) -> Spectrum:

@@ -2,8 +2,10 @@
 and the characteristic polynomial of a graph plus an integer diagonal, in
 integers, with no float code.
 
-Both rest on one pair recurrence, `_fold`, run over the graph's cached walk
-(`Graph._forest`), or over a fresh `graphs._walk` from a root other than 1.
+Both rest on one pair recurrence, `_fold`, run over one of the graph's
+cached walks (`Graph._plain_walk` for the tree counts, `Graph._forest`,
+redone from the one cycle, for the charpoly), or over a fresh `graphs._walk`
+from a root other than 1.
 Each vertex v carries the value a(v) = num/den as an unreduced integer
 pair, and a child c with pair (num_c, den_c) turns it into
 (num*num_c - den_c*den, den*num_c), which is a(v) - 1/a(c). Without a zero
@@ -115,7 +117,7 @@ def jt_locate(
     # a tree has n - 1 edges and is connected: one root in the cached walk,
     # or a walk from another root that reaches all n vertices
     if root == 1:
-        order, parent, _ = g._forest
+        order, parent = g._plain_walk
         tree = g.num_edges == n - 1 and parent.count(0) == 1
     else:
         order, parent = _walk(adj, (root,))
@@ -201,6 +203,7 @@ def _charpoly(g: Graph, diagonal: Sequence[int]) -> tuple[int, ...]:
     <= ((n + tr M) / n)^n by AM-GM, so every coefficient is a balanced digit of
     b = bit_length of that bound plus one bit, rounded up to whole bytes."""
     n, adj = g.n, g.adjacency
+    diagonal = tuple(map(index, diagonal))  # TypeError for a float or a string entry
     if len(diagonal) != n or any(map(lt, diagonal, map(len, adj[1:]))):
         raise ValueError(f"need {n} diagonal entries, each at least its vertex's degree")
     order, parent, cycle = g._forest

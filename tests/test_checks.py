@@ -46,8 +46,8 @@ from lapeq.construct import (
     starlike_mirror,
     unit_vector,
 )
-from lapeq.graphs import Graph, classify, cycle, path
-from lapeq.spectra import cospectral, laplacian_spectrum
+from lapeq.graphs import Graph, average_degree, classify, cycle, path
+from lapeq.spectra import cospectral, laplacian_energy, laplacian_spectrum, sigma_count
 from lapeq.treecount import _charpoly
 
 
@@ -153,16 +153,17 @@ def test_energy_check_forty_four_vertices():
 
 @pytest.fixture
 def solve_orders(monkeypatch):
-    """Orders of every dense eigensolve, whichever module calls it."""
+    """The order of every matrix the dense eigensolver solves, one entry per
+    matrix of each stack, whichever module calls it."""
     orders = []
-    solve = lapeq.spectra.sym_eigenvalues
+    solve = lapeq.spectra.stacked_spectra
 
-    def counted(m, *args, **kwargs):
-        orders.append(len(m))
-        return solve(m, *args, **kwargs)
+    def counted(ms, *args, **kwargs):
+        orders.extend(len(m) for m in ms)
+        return solve(ms, *args, **kwargs)
 
     for mod in (lapeq.spectra, lapeq.checks):
-        monkeypatch.setattr(mod, "sym_eigenvalues", counted)
+        monkeypatch.setattr(mod, "stacked_spectra", counted)
     return orders
 
 
@@ -194,6 +195,36 @@ def test_sweeps_solve_and_count_each_tree_once(solve_orders, monkeypatch):
     solve_orders.clear()
     assert sigma_sweep(max_n=14).evidence["instances"] == 30
     assert (len(counts), len(solve_orders)) == (29, 30)
+
+
+@pytest.mark.parametrize("claim", ["energy", "sigma"])
+def test_stacked_sweeps_match_one_solve_per_graph(claim, monkeypatch):
+    # each run of one order is one stack, and every outcome, in grid order,
+    # holds what a solve of its own graphs gives
+    stacks = []
+    solve = lapeq.spectra.stacked_spectra
+
+    def counted(ms):
+        stacks.append(len(ms[0]))
+        return solve(ms)
+
+    monkeypatch.setattr(lapeq.spectra, "stacked_spectra", counted)
+    profiles = [(s.branches, s.admissible_lengths()) for s in iter_starlike_specs(16)]
+    outcomes = {"energy": lapeq.checks._energy_outcomes, "sigma": lapeq.checks._sigma_outcomes}
+    results = list(outcomes[claim](profiles))
+    assert stacks == [6, 8, 10, 12, 14, 16]
+    instances = [(list(branches), k) for branches, ks in profiles for k in ks]
+    assert [(ev["branches"], ev["k"]) for _, ev in results] == instances
+    for (ok, ev), (branches, k) in zip(results, instances):
+        tree = lapeq.construct.spider(branches)
+        g2 = tree.add_edges([lapeq.construct.cross_edge(branches, k)])
+        assert ok
+        if claim == "energy":
+            assert ev["le_tree"] == laplacian_energy(tree)
+            assert ev["le_unicyclic"] == laplacian_energy(g2)
+        else:
+            spec = laplacian_spectrum(g2)
+            assert ev["sigma_unicyclic"] == sigma_count(spec, float(average_degree(g2)))
 
 
 def test_companions_skip_the_mirror_round_trip(monkeypatch):

@@ -18,6 +18,7 @@ from lapeq.graphs import (
     format_dot,
     format_edge_list,
     laplacian,
+    laplacian_stack,
     load_graph,
     parse_edge_list,
     path,
@@ -71,6 +72,17 @@ def test_add_edges_is_pure():
     assert g.edges == ((1, 2), (2, 3))
 
 
+def test_add_edges_checks_the_new_edges():
+    g = path(4)
+    for bad in [(2, 2)], [(1, 5)], [(0, 1)]:
+        with pytest.raises(ValueError):
+            g.add_edges(bad)
+    for bad in [(1.0, 3)], [(1, "3")]:
+        with pytest.raises(TypeError):
+            g.add_edges(bad)
+    assert g.add_edges([]) == g and g.add_edges([(True, 3)]).has_edge(1, 3)
+
+
 def test_relabel():
     g = path(3)
     swapped = g.relabel({1: 3, 2: 2, 3: 1})
@@ -105,6 +117,27 @@ def test_laplacian_row_sums_and_trace(g):
     assert np.array_equal(m, m.T)
     assert np.array_equal(m.sum(axis=1), np.zeros(g.n))
     assert m.trace() == 2 * g.num_edges
+
+
+def test_laplacian_stack_is_one_laplacian_per_graph():
+    gs = [path(5), cycle(5), star(5), Graph(5), Graph(5, [(1, 2), (3, 4)])]
+    stack = laplacian_stack(gs)
+    assert stack.shape == (5, 5, 5)
+    for g, m in zip(gs, stack):
+        ref = np.zeros((5, 5))
+        for u, v in g.edges:
+            ref[u - 1, v - 1] = ref[v - 1, u - 1] = -1.0
+        np.fill_diagonal(ref, g.degrees())
+        assert np.array_equal(m, ref)
+        assert np.array_equal(laplacian(g), ref)
+    assert laplacian_stack([Graph(1)]).shape == (1, 1, 1)
+
+
+def test_laplacian_stack_refuses_mixed_orders_and_no_graphs():
+    with pytest.raises(ValueError, match="mixed orders"):
+        laplacian_stack([path(4), path(5)])
+    with pytest.raises(ValueError, match="at least one graph"):
+        laplacian_stack([])
 
 
 def test_average_degree_exact():
@@ -206,6 +239,18 @@ def test_graph_edge_invariants(edges):
     with pytest.raises(AttributeError):
         g.adjacency = ()
     assert g == Graph(9, edges) and hash(g) == hash(Graph(9, edges))
+
+
+@given(
+    g=st.builds(Graph, st.just(9), edge_lists),
+    new=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(lambda e: e[0] != e[1])),
+)
+def test_add_edges_merges_like_a_rebuild(g, new):
+    # new edges may repeat each other or an edge of g, in either orientation
+    new += [(v, u) for u, v in g.edges[:2]] + new[:1]
+    g2 = g.add_edges(new)
+    assert g2 == Graph(9, [*g.edges, *new])
+    assert list(g2.edges) == sorted(set(g2.edges)) and g2.adjacency == Graph(9, g2.edges).adjacency
 
 
 def union_find(n, edges):
@@ -357,6 +402,28 @@ def test_a_second_query_walks_nothing(g, first, monkeypatch):
         if kind == "unicyclic":
             unique_cycle_length(g)
         assert walks == walked, kind
+
+
+def test_classify_walks_once_and_finds_no_cycle(monkeypatch):
+    calls = []
+    walk, find_cycle = lapeq.graphs._walk, lapeq.graphs._cycle
+
+    def counted_walk(adj, roots):
+        calls.append("walk")
+        return walk(adj, roots)
+
+    def counted_cycle(edges, parent):
+        calls.append("cycle")
+        return find_cycle(edges, parent)
+
+    monkeypatch.setattr(lapeq.graphs, "_walk", counted_walk)
+    monkeypatch.setattr(lapeq.graphs, "_cycle", counted_cycle)
+    g = Graph(6, [(2, 3), (3, 4), (2, 4), (4, 6), (1, 5), (5, 2)])
+    assert classify(g) == "unicyclic"
+    assert len(connected_components(g)) == 1
+    assert calls == ["walk"]  # classify and components read the plain walk alone
+    assert unique_cycle_length(g) == 3
+    assert calls == ["walk", "cycle", "walk"]  # the cycle length needs the walk from the cycle
 
 
 def test_other_roots_walk_afresh(monkeypatch):

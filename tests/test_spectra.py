@@ -16,12 +16,14 @@ from lapeq.spectra import (
     delta_le,
     energy_report,
     laplacian_energy,
+    laplacian_spectra,
     laplacian_spectrum,
     linked_core_matrix,
     multiset_remove,
     multiset_union,
     replacement_spectra,
     sigma_count,
+    stacked_spectra,
     sym_eigenvalues,
     tridiagonal_spectrum,
 )
@@ -93,12 +95,71 @@ def test_sym_eigenvalues_identity_and_edge_cases():
 
 
 def test_sym_eigenvalues_validates_input():
+    for m, message in [
+        (np.ones((2, 3)), r"square, got shape \(2, 3\)"),
+        (np.ones(3), r"square, got shape \(3,\)"),
+        (np.ones((2, 2, 2)), r"square, got shape \(2, 2, 2\)"),
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), "not symmetric"),
+        (np.zeros((0, 0)), "order >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            sym_eigenvalues(m)
+
+
+@st.composite
+def same_order_graphs(draw):
+    """1-5 random graphs on one order 1-12, the edgeless and the complete
+    graph among the draws."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    some = st.lists(st.sampled_from(pairs)) if pairs else st.just([])
+    edge_sets = st.one_of(st.just([]), st.just(pairs), some)
+    return [Graph(n, draw(edge_sets)) for _ in range(draw(st.integers(1, 5)))]
+
+
+@given(gs=same_order_graphs())
+def test_stacked_spectra_equal_one_solve_per_matrix(gs):
+    # each matrix of a stack gets the very floats of an eigvalsh call of its own
+    alone = [tuple(np.linalg.eigvalsh(laplacian(g))[::-1].tolist()) for g in gs]
+    assert [s.values for s in laplacian_spectra(gs)] == alone
+    assert [s.values for s in stacked_spectra([laplacian(g) for g in gs])] == alone
+    assert [laplacian_spectrum(g).values for g in gs] == alone
+    assert [sym_eigenvalues(laplacian(g)).values for g in gs] == alone
+
+
+def test_stacked_spectra_refuse_mixed_orders_and_empty_stacks():
+    with pytest.raises(ValueError, match="mixed orders"):
+        laplacian_spectra([path(3), path(4)])
     with pytest.raises(ValueError):
-        sym_eigenvalues(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        sym_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        sym_eigenvalues(np.zeros((0, 0)))
+        stacked_spectra([np.eye(3), np.eye(4)])
+    with pytest.raises(ValueError, match="at least one graph"):
+        laplacian_spectra([])
+    with pytest.raises(ValueError, match="at least one matrix"):
+        stacked_spectra([])
+    with pytest.raises(ValueError, match="at least one matrix"):
+        stacked_spectra(np.zeros((0, 3, 3)))
+
+
+def test_stacked_spectra_check_every_slice():
+    good = laplacian(cycle(4))
+    cases = [(math.nan, "non-finite"), (math.inf, "non-finite"), (0.5, "not symmetric")]
+    for bad, message in cases:
+        m = good.copy()
+        m[0, 2] = bad
+        for stack in ([good, m], [m, good], np.stack([good, good, m])):
+            with pytest.raises(ValueError, match=message):
+                stacked_spectra(stack)
+    # each slice is held to its own scale: 1e-10 is inside a 1e4 slice's
+    # 1e-12 * 1e4 band but not inside a unit slice's 1e-12
+    big = 1e4 * good
+    big[0, 1] += 1e-10
+    assert len(stacked_spectra([big, good])) == 2
+    small = good.copy()
+    small[0, 1] += 1e-10
+    with pytest.raises(ValueError, match="not symmetric"):
+        stacked_spectra([1e4 * good, small])
+    with pytest.raises(ValueError, match=r"square, got shape \(3, 4\)"):
+        stacked_spectra([np.zeros((3, 4))])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

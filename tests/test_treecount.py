@@ -324,6 +324,14 @@ def test_charpoly_refuses_a_diagonal_below_the_degrees(g):
         _charpoly(g, g.degrees()[1:])
 
 
+def test_charpoly_reads_an_integer_diagonal():
+    k4 = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    for g, d in [(k4, [3.5, 3, 3, 3]), (path(3), [1.5, 2, 1]), (cycle(4), [2, 2, "2", 2])]:
+        with pytest.raises(TypeError):
+            _charpoly(g, d)
+    assert _charpoly(path(3), [True, 2, 1]) == _charpoly(path(3), [1, 2, 1])
+
+
 def _at_two_plus_t_plus_inverse(coeffs):
     """t^k chi(2 + t + 1/t), lowest power of t first, for chi of degree k with
     coeffs leading first. As x = (1 + t)^2 / t, Horner's step h -> h x + c_i
